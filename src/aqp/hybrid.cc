@@ -10,7 +10,6 @@
 #include "query/compressed_scan.h"
 #include "query/executor.h"
 #include "query/parser.h"
-#include "query/vector_eval.h"
 
 namespace laws {
 namespace {
@@ -212,8 +211,6 @@ Result<std::string> HybridQueryEngine::ExplainAnalyze(
   // Expression-tier accounting for this query (process-global counters,
   // so report the delta) — same line ExplainAnalyzeQuery prints.
   Counter* compiled = MetricsRegistry::Global().GetCounter("expr.compiled");
-  Counter* fallback =
-      MetricsRegistry::Global().GetCounter("expr.fallback_treewalk");
   Counter* batches = MetricsRegistry::Global().GetCounter("expr.batches");
   Counter* blocks = MetricsRegistry::Global().GetCounter("scan.blocks_total");
   Counter* pruned = MetricsRegistry::Global().GetCounter("scan.blocks_pruned");
@@ -227,7 +224,6 @@ Result<std::string> HybridQueryEngine::ExplainAnalyze(
   Counter* drift_rejected =
       MetricsRegistry::Global().GetCounter("learn.drift.rejected");
   const uint64_t compiled0 = compiled->value();
-  const uint64_t fallback0 = fallback->value();
   const uint64_t batches0 = batches->value();
   const uint64_t blocks0 = blocks->value();
   const uint64_t pruned0 = pruned->value();
@@ -240,12 +236,8 @@ Result<std::string> HybridQueryEngine::ExplainAnalyze(
   std::string out = sink.Render();
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "expr: engine=%s compiled=%llu fallback_treewalk=%llu "
-                "batches=%llu\n",
-                GlobalExprEngine() == ExprEngine::kBytecode ? "bytecode"
-                                                            : "treewalk",
+                "expr: compiled=%llu batches=%llu\n",
                 static_cast<unsigned long long>(compiled->value() - compiled0),
-                static_cast<unsigned long long>(fallback->value() - fallback0),
                 static_cast<unsigned long long>(batches->value() - batches0));
   out += buf;
   std::snprintf(

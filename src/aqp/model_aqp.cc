@@ -6,8 +6,8 @@
 #include "common/string_util.h"
 #include "model/model.h"
 #include "query/executor.h"
-#include "query/expr_eval.h"
 #include "query/parser.h"
+#include "query/vector_eval.h"
 #include "stats/distributions.h"
 #include "stats/goodness_of_fit.h"
 

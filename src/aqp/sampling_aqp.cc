@@ -4,7 +4,7 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "query/expr_eval.h"
+#include "query/vector_eval.h"
 #include "stats/descriptive.h"
 
 namespace laws {

@@ -238,11 +238,11 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
           CandidateKey(table_name, names[pair.x], names[pair.y], family);
 
       // Phase 1 (locked): get-or-create the candidate and reserve the
-      // row range [begin, end). The reservation is what makes repeated
-      // scans over unchanged data harvest nothing twice — intervals
-      // tighten only on genuinely new observations.
+      // row range [begin, end). Reservations are monotone within a table
+      // lineage, so a reader pinned to an older (shorter) snapshot of the
+      // same lineage reserves nothing, and every row is folded once —
+      // intervals tighten only on genuinely new observations.
       size_t begin = 0, end = 0;
-      uint64_t reserved_version = 0;
       {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = candidates_.find(key);
@@ -257,31 +257,33 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
                                            names[pair.y], family,
                                            std::move(*acc)))
                    .first;
+          it->second.lineage = table.lineage();
           counters.candidates_created->Add();
         }
         Candidate& cand = it->second;
-        if (table.data_version() < cand.seen_version ||
-            table.num_rows() < cand.seen_rows) {
-          // The table was replaced wholesale (version or size went
-          // backwards): restart the accumulator from scratch rather than
-          // blending two unrelated populations.
+        // A reader on a superseded lineage harvests nothing: its rows
+        // belong to a table that no longer exists.
+        if (table.lineage() < cand.lineage) continue;
+        if (table.lineage() > cand.lineage) {
+          // The table was replaced: restart the accumulator from scratch
+          // rather than blending two unrelated populations.
           auto model = ModelFromSource(family);
           if (!model.ok()) continue;
           auto acc = IncrementalOls::Create(**model);
           if (!acc.ok()) continue;
           cand.acc = std::move(*acc);
+          cand.lineage = table.lineage();
           cand.seen_rows = 0;
           cand.solved_count = 0;
           cand.tainted = false;
           counters.candidates_reset->Add();
         }
-        cand.seen_version = table.data_version();
-        reserved_version = cand.seen_version;
         begin = cand.seen_rows;
         end = std::min(table.num_rows(), begin + options_.max_rows_per_scan);
+        if (end <= begin) continue;
         cand.seen_rows = end;
+        cand.seen_version = table.data_version();
       }
-      if (end <= begin) continue;
 
       // Phase 2 (unlocked): fold the reserved rows into a scan-local
       // accumulator. Governed: a tripped deadline/budget/cancel aborts
@@ -316,18 +318,15 @@ void Learner::HarvestPairs(const SelectStatement& stmt, const Table& table,
         ++added;
       }
 
-      // Phase 3 (locked): merge into the stored accumulator, unless the
-      // candidate was reset behind our back (then the local rows belong
-      // to a dead lineage and are dropped; the reset candidate will
-      // re-reserve them).
+      // Phase 3 (locked): merge into the stored accumulator while it still
+      // belongs to the reserving lineage. A reset behind our back means
+      // the local rows are from a dead table and are dropped.
       {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = candidates_.find(key);
         if (it == candidates_.end()) continue;
         Candidate& cand = it->second;
-        if (cand.seen_version != reserved_version || cand.seen_rows < end) {
-          continue;
-        }
+        if (cand.lineage != table.lineage()) continue;
         if (aborted) {
           // Rows [begin, end) are reserved but (partly) unfolded: the
           // accumulator no longer matches the row range, so the batch
@@ -673,7 +672,7 @@ std::string Learner::VerifyCandidatesAgainstBatch(const Catalog& data,
     if (!table.ok()) continue;
     // Only meaningful when the accumulator's lineage matches the live
     // table (otherwise the rows it folded no longer exist).
-    if ((*table)->data_version() != cand.seen_version ||
+    if ((*table)->lineage() != cand.lineage ||
         (*table)->num_rows() < cand.seen_rows) {
       continue;
     }

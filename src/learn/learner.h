@@ -164,10 +164,15 @@ class Learner : public LearningObserver {
     std::string y_column;
     std::string model_source;
     IncrementalOls acc;
-    /// Rows [0, seen_rows) of the table have been offered to `acc`
-    /// (filtered rows excluded); the reservation that makes repeated
-    /// scans of unchanged data harvest nothing twice.
+    /// Table::lineage() the accumulator belongs to. Appends keep it, so
+    /// rows reserved from any snapshot of the lineage stay valid; a
+    /// newer lineage (replace, drop + re-create) resets the candidate.
+    uint64_t lineage = 0;
+    /// Rows [0, seen_rows) of the lineage have been reserved for `acc`
+    /// (filtered rows excluded). Reservations only grow, so repeated or
+    /// older-snapshot scans harvest nothing twice.
     size_t seen_rows = 0;
+    /// data_version of the view that last advanced seen_rows.
     uint64_t seen_version = 0;
     /// acc.count() at the last Apply attempt; gates re-solving.
     size_t solved_count = 0;

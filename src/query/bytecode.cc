@@ -5,15 +5,15 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "query/expr_eval.h"
+#include "query/vector_eval.h"
 
 namespace laws {
 namespace {
 
 /// The compiler's view of one evaluated subexpression: which register it
 /// lives in and its static type. Every node's type is fully determined by
-/// the schema (the tree-walker's EvalResult::type() is data-independent),
-/// which is what makes ahead-of-time specialization sound.
+/// the schema (§11 typing is data-independent), which is what makes
+/// ahead-of-time specialization sound.
 struct NodeRes {
   uint16_t slot = 0;
   DataType type = DataType::kDouble;
@@ -22,9 +22,8 @@ struct NodeRes {
 bool IsNumeric(DataType t) { return t != DataType::kString; }
 
 /// True when the subtree references no column, aggregate or star — i.e.
-/// EvaluateConstant can fold it (modulo runtime errors, which veto the
-/// fold and leave the instruction sequence to error identically at run
-/// time).
+/// EvaluateConstant can fold it (modulo errors, which veto the fold and
+/// leave the instruction sequence to raise them identically).
 bool IsConstSubtree(const Expr& e) {
   if (e.kind == ExprKind::kColumnRef || e.kind == ExprKind::kAggregate ||
       e.kind == ExprKind::kStar) {
@@ -111,17 +110,65 @@ std::string CseKey(const Expr& e) {
   return key;
 }
 
+/// Output type of CASE/COALESCE over `args`: strings only with strings;
+/// within the numeric family a uniform INT64 or BOOL list keeps its type
+/// and any mix promotes to DOUBLE.
+Result<DataType> UnifyFamily(const std::vector<NodeRes>& args,
+                             const char* what) {
+  bool any_string = false, all_string = true, all_int = true,
+       all_bool = true;
+  for (const NodeRes& a : args) {
+    any_string |= a.type == DataType::kString;
+    all_string &= a.type == DataType::kString;
+    all_int &= a.type == DataType::kInt64;
+    all_bool &= a.type == DataType::kBool;
+  }
+  if (any_string && !all_string) {
+    return Status::TypeMismatch(std::string(what) +
+                                " mixes strings and numerics");
+  }
+  return all_string ? DataType::kString
+         : all_int  ? DataType::kInt64
+         : all_bool ? DataType::kBool
+                    : DataType::kDouble;
+}
+
+constexpr int Op(OpCode op) { return static_cast<int>(op); }
+
+// The compiler picks opcodes by offset within a family, so the families'
+// layouts are pinned here.
+static_assert(Op(OpCode::kCoalesceStr) - Op(OpCode::kCoalesceI64) == 3 &&
+              Op(OpCode::kNullIfStr) - Op(OpCode::kNullIfI64) == 3 &&
+              Op(OpCode::kCaseStr) - Op(OpCode::kCaseI64) == 3);
+static_assert(Op(OpCode::kCmpGeF64) - Op(OpCode::kCmpEqF64) == 5 &&
+              Op(OpCode::kCmpGeStr) - Op(OpCode::kCmpEqStr) == 5 &&
+              static_cast<int>(BinaryOp::kGreaterEqual) -
+                      static_cast<int>(BinaryOp::kEqual) ==
+                  5);
+
+/// Picks the opcode of a type-suffixed family laid out I64, F64, Bool, Str
+/// (CASE/COALESCE/NULLIF).
+OpCode Typed(OpCode i64_op, DataType t) {
+  int offset = 0;
+  switch (t) {
+    case DataType::kInt64:  offset = 0; break;
+    case DataType::kDouble: offset = 1; break;
+    case DataType::kBool:   offset = 2; break;
+    case DataType::kString: offset = 3; break;
+  }
+  return static_cast<OpCode>(Op(i64_op) + offset);
+}
+
 class Compiler {
  public:
-  explicit Compiler(const Schema& schema) : schema_(schema) {}
+  Compiler(const Schema& schema, bool fold) : schema_(schema), fold_(fold) {}
 
-  std::optional<CompiledExpr> Compile(const Expr& expr) {
+  Result<CompiledExpr> Compile(const Expr& expr) {
     CountUses(expr);
-    auto root = CompileNode(expr);
-    if (!root.has_value()) return std::nullopt;
+    LAWS_ASSIGN_OR_RETURN(NodeRes root, CompileNode(expr));
     program_.num_slots = next_slot_;
-    program_.result_slot = root->slot;
-    program_.result_type = root->type;
+    program_.result_slot = root.slot;
+    program_.result_type = root.type;
     return std::move(program_);
   }
 
@@ -165,15 +212,22 @@ class Compiler {
   }
 
   NodeRes EmitConst(const Value& v) {
-    if (v.is_null()) {
-      // The tree-walker types a NULL literal as DOUBLE.
-      return Emit(OpCode::kConstNull, DataType::kDouble);
-    }
+    if (v.is_null()) return Emit(OpCode::kConstNull, DataType::kDouble);
     const auto idx = static_cast<uint32_t>(program_.constants.size());
     program_.constants.push_back(v);
     if (v.is_int64()) return Emit(OpCode::kConstI64, DataType::kInt64, 0, 0, idx);
     if (v.is_double()) return Emit(OpCode::kConstF64, DataType::kDouble, 0, 0, idx);
+    if (v.is_string()) return Emit(OpCode::kConstStr, DataType::kString, 0, 0, idx);
     return Emit(OpCode::kConstBool, DataType::kBool, 0, 0, idx);
+  }
+
+  /// Emits an n-ary select over `slots` (released first, so the output
+  /// may recycle one of them).
+  NodeRes EmitList(OpCode op, DataType t, std::vector<uint16_t> slots) {
+    for (uint16_t s : slots) ReleaseSlot(s);
+    const auto list = static_cast<uint32_t>(program_.arg_lists.size());
+    program_.arg_lists.push_back(std::move(slots));
+    return Emit(op, t, 0, 0, list);
   }
 
   /// Coerces a numeric value to double, releasing the source register.
@@ -186,41 +240,50 @@ class Compiler {
     return Emit(op, DataType::kDouble, r.slot);
   }
 
+  /// Compiles one argument that must be numeric.
+  Result<NodeRes> CompileNumeric(const Expr& e, const std::string& what) {
+    LAWS_ASSIGN_OR_RETURN(NodeRes r, CompileNode(e));
+    if (!IsNumeric(r.type)) {
+      return Status::TypeMismatch(what + " requires a numeric argument");
+    }
+    return r;
+  }
+
+  Status CheckArity(const Expr& e, size_t n, const char* count) {
+    if (e.children.size() == n) return Status::OK();
+    return Status::InvalidArgument(e.function_name + "() takes " + count);
+  }
+
   /// Memoizing compile: shared subexpressions (by exact structural
   /// identity — see CseKey) compile once into a pinned register.
-  std::optional<NodeRes> CompileNode(const Expr& e) {
+  Result<NodeRes> CompileNode(const Expr& e) {
     const std::string repr = CseKey(e);
     auto hit = memo_.find(repr);
     if (hit != memo_.end()) return hit->second;
 
-    std::optional<NodeRes> res = CompileNodeUncached(e);
-    if (res.has_value() && use_count_[repr] > 1) {
-      pinned_.insert(res->slot);
-      memo_.emplace(repr, *res);
+    LAWS_ASSIGN_OR_RETURN(NodeRes res, CompileNodeUncached(e));
+    if (use_count_[repr] > 1) {
+      pinned_.insert(res.slot);
+      memo_.emplace(repr, res);
     }
     return res;
   }
 
-  std::optional<NodeRes> CompileNodeUncached(const Expr& e) {
+  Result<NodeRes> CompileNodeUncached(const Expr& e) {
     // Constant folding: a column-free subtree that evaluates cleanly
-    // becomes one load from the literal pool. A fold-time error (1/0,
-    // overflow) vetoes the fold so the runtime errors exactly when the
-    // tree-walker would (i.e. only when rows actually flow through). A
-    // NULL fold result also vetoes: the folded value would forget the
-    // operator's static output type (nullif(c, c) stays INT64, a NULL
-    // comparison stays BOOL), so the subtree compiles normally and the
-    // type rules below reproduce the tree-walker's column type.
-    if (e.kind != ExprKind::kLiteral && IsConstSubtree(e)) {
+    // becomes one load from the literal pool. An error (1/0, overflow, a
+    // static type error) vetoes the fold so the instructions raise it
+    // exactly when an unfolded program would. A NULL fold result also
+    // vetoes: the folded value would forget the operator's static output
+    // type (nullif(c, c) stays INT64, a NULL comparison stays BOOL), so
+    // the subtree compiles normally and keeps its §11 type.
+    if (fold_ && e.kind != ExprKind::kLiteral && IsConstSubtree(e)) {
       Result<Value> folded = EvaluateConstant(e);
-      if (folded.ok() && !folded->is_null()) {
-        if (folded->is_string()) return std::nullopt;
-        return EmitConst(*folded);
-      }
+      if (folded.ok() && !folded->is_null()) return EmitConst(*folded);
     }
 
     switch (e.kind) {
       case ExprKind::kLiteral:
-        if (e.literal.is_string()) return std::nullopt;
         return EmitConst(e.literal);
       case ExprKind::kColumnRef:
         return CompileColumnRef(e);
@@ -233,62 +296,53 @@ class Compiler {
       case ExprKind::kCase:
         return CompileCase(e);
       case ExprKind::kAggregate:
+        return Status::InvalidArgument(
+            "aggregate in scalar context (missing GROUP BY handling?)");
       case ExprKind::kStar:
-        return std::nullopt;
+        return Status::InvalidArgument("* outside COUNT(*)");
     }
-    return std::nullopt;
+    return Status::Internal("bad expression kind");
   }
 
-  std::optional<NodeRes> CompileColumnRef(const Expr& e) {
-    Result<size_t> idx = schema_.FieldIndex(e.column_name);
-    if (!idx.ok()) return std::nullopt;  // tree-walker raises NotFound
-    const DataType t = schema_.field(*idx).type;
-    OpCode op;
+  Result<NodeRes> CompileColumnRef(const Expr& e) {
+    LAWS_ASSIGN_OR_RETURN(size_t idx, schema_.FieldIndex(e.column_name));
+    const DataType t = schema_.field(idx).type;
+    OpCode op = OpCode::kLoadColStr;
     switch (t) {
-      case DataType::kInt64:
-        op = OpCode::kLoadColI64;
-        break;
-      case DataType::kDouble:
-        op = OpCode::kLoadColF64;
-        break;
-      case DataType::kBool:
-        op = OpCode::kLoadColBool;
-        break;
-      case DataType::kString:
-        return std::nullopt;  // strings stay on the tree-walker tier
-      default:
-        return std::nullopt;
+      case DataType::kInt64:  op = OpCode::kLoadColI64; break;
+      case DataType::kDouble: op = OpCode::kLoadColF64; break;
+      case DataType::kBool:   op = OpCode::kLoadColBool; break;
+      case DataType::kString: op = OpCode::kLoadColStr; break;
     }
     const auto ref = static_cast<uint32_t>(program_.columns.size());
-    program_.columns.push_back(
-        {static_cast<uint32_t>(*idx), e.column_name});
+    program_.columns.push_back({static_cast<uint32_t>(idx), e.column_name});
     return Emit(op, t, 0, 0, ref);
   }
 
-  std::optional<NodeRes> CompileUnary(const Expr& e) {
-    auto operand = CompileNode(*e.children[0]);
-    if (!operand.has_value()) return std::nullopt;
+  Result<NodeRes> CompileUnary(const Expr& e) {
+    LAWS_ASSIGN_OR_RETURN(NodeRes operand, CompileNode(*e.children[0]));
     if (e.unary_op == UnaryOp::kNegate) {
-      if (!IsNumeric(operand->type)) return std::nullopt;
-      if (operand->type == DataType::kInt64) {
-        ReleaseSlot(operand->slot);
-        return Emit(OpCode::kNegI64, DataType::kInt64, operand->slot);
+      if (!IsNumeric(operand.type)) {
+        return Status::TypeMismatch("cannot negate a string");
       }
-      NodeRes v = ToF64(*operand);
+      if (operand.type == DataType::kInt64) {
+        ReleaseSlot(operand.slot);
+        return Emit(OpCode::kNegI64, DataType::kInt64, operand.slot);
+      }
+      NodeRes v = ToF64(operand);
       ReleaseSlot(v.slot);
       return Emit(OpCode::kNegF64, DataType::kDouble, v.slot);
     }
-    // NOT
-    if (operand->type != DataType::kBool) return std::nullopt;
-    ReleaseSlot(operand->slot);
-    return Emit(OpCode::kNotBool, DataType::kBool, operand->slot);
+    if (operand.type != DataType::kBool) {
+      return Status::TypeMismatch("NOT requires a boolean operand");
+    }
+    ReleaseSlot(operand.slot);
+    return Emit(OpCode::kNotBool, DataType::kBool, operand.slot);
   }
 
-  std::optional<NodeRes> CompileBinary(const Expr& e) {
-    auto lhs = CompileNode(*e.children[0]);
-    if (!lhs.has_value()) return std::nullopt;
-    auto rhs = CompileNode(*e.children[1]);
-    if (!rhs.has_value()) return std::nullopt;
+  Result<NodeRes> CompileBinary(const Expr& e) {
+    LAWS_ASSIGN_OR_RETURN(NodeRes lhs, CompileNode(*e.children[0]));
+    LAWS_ASSIGN_OR_RETURN(NodeRes rhs, CompileNode(*e.children[1]));
 
     switch (e.binary_op) {
       case BinaryOp::kAdd:
@@ -296,11 +350,11 @@ class Compiler {
       case BinaryOp::kMultiply:
       case BinaryOp::kDivide:
       case BinaryOp::kModulo: {
-        if (!IsNumeric(lhs->type) || !IsNumeric(rhs->type)) {
-          return std::nullopt;
+        if (!IsNumeric(lhs.type) || !IsNumeric(rhs.type)) {
+          return Status::TypeMismatch("arithmetic on non-numeric operand");
         }
-        const bool int_result = lhs->type == DataType::kInt64 &&
-                                rhs->type == DataType::kInt64 &&
+        const bool int_result = lhs.type == DataType::kInt64 &&
+                                rhs.type == DataType::kInt64 &&
                                 e.binary_op != BinaryOp::kDivide;
         if (int_result) {
           OpCode op;
@@ -310,12 +364,12 @@ class Compiler {
             case BinaryOp::kMultiply: op = OpCode::kMulI64; break;
             default:                  op = OpCode::kModI64; break;
           }
-          ReleaseSlot(lhs->slot);
-          ReleaseSlot(rhs->slot);
-          return Emit(op, DataType::kInt64, lhs->slot, rhs->slot);
+          ReleaseSlot(lhs.slot);
+          ReleaseSlot(rhs.slot);
+          return Emit(op, DataType::kInt64, lhs.slot, rhs.slot);
         }
-        NodeRes a = ToF64(*lhs);
-        NodeRes b = ToF64(*rhs);
+        NodeRes a = ToF64(lhs);
+        NodeRes b = ToF64(rhs);
         OpCode op;
         switch (e.binary_op) {
           case BinaryOp::kAdd:      op = OpCode::kAddF64; break;
@@ -334,62 +388,61 @@ class Compiler {
       case BinaryOp::kLessEqual:
       case BinaryOp::kGreater:
       case BinaryOp::kGreaterEqual: {
-        // String comparison stays on the tree-walker; numeric pairs
-        // compare through double coercion (§11 comparison horizon).
-        if (!IsNumeric(lhs->type) || !IsNumeric(rhs->type)) {
-          return std::nullopt;
+        // Strings compare with strings; numeric pairs compare through
+        // double coercion (§11 comparison horizon).
+        const bool strings =
+            lhs.type == DataType::kString && rhs.type == DataType::kString;
+        if (!strings && (!IsNumeric(lhs.type) || !IsNumeric(rhs.type))) {
+          return Status::TypeMismatch("cannot compare string with numeric");
         }
-        NodeRes a = ToF64(*lhs);
-        NodeRes b = ToF64(*rhs);
-        OpCode op;
-        switch (e.binary_op) {
-          case BinaryOp::kEqual:        op = OpCode::kCmpEqF64; break;
-          case BinaryOp::kNotEqual:     op = OpCode::kCmpNeF64; break;
-          case BinaryOp::kLess:         op = OpCode::kCmpLtF64; break;
-          case BinaryOp::kLessEqual:    op = OpCode::kCmpLeF64; break;
-          case BinaryOp::kGreater:      op = OpCode::kCmpGtF64; break;
-          default:                      op = OpCode::kCmpGeF64; break;
-        }
+        NodeRes a = strings ? lhs : ToF64(lhs);
+        NodeRes b = strings ? rhs : ToF64(rhs);
+        // The six comparisons are laid out Eq, Ne, Lt, Le, Gt, Ge in both
+        // families.
+        const int offset =
+            static_cast<int>(e.binary_op) - static_cast<int>(BinaryOp::kEqual);
+        const OpCode base = strings ? OpCode::kCmpEqStr : OpCode::kCmpEqF64;
         ReleaseSlot(a.slot);
         ReleaseSlot(b.slot);
-        return Emit(op, DataType::kBool, a.slot, b.slot);
+        return Emit(static_cast<OpCode>(Op(base) + offset), DataType::kBool,
+                    a.slot, b.slot);
       }
       case BinaryOp::kAnd:
       case BinaryOp::kOr: {
-        if (lhs->type != DataType::kBool || rhs->type != DataType::kBool) {
-          return std::nullopt;
+        if (lhs.type != DataType::kBool || rhs.type != DataType::kBool) {
+          return Status::TypeMismatch("AND/OR require boolean operands");
         }
         const OpCode op = e.binary_op == BinaryOp::kAnd ? OpCode::kAnd3VL
                                                         : OpCode::kOr3VL;
-        ReleaseSlot(lhs->slot);
-        ReleaseSlot(rhs->slot);
-        return Emit(op, DataType::kBool, lhs->slot, rhs->slot);
+        ReleaseSlot(lhs.slot);
+        ReleaseSlot(rhs.slot);
+        return Emit(op, DataType::kBool, lhs.slot, rhs.slot);
       }
     }
-    return std::nullopt;
+    return Status::Internal("bad binary op");
   }
 
-  std::optional<NodeRes> CompileFunction(const Expr& e) {
+  Result<NodeRes> CompileFunction(const Expr& e) {
     const std::string& f = e.function_name;
 
-    auto unary_f64 = [&](OpCode op) -> std::optional<NodeRes> {
-      if (e.children.size() != 1) return std::nullopt;
-      auto arg = CompileNode(*e.children[0]);
-      if (!arg.has_value() || !IsNumeric(arg->type)) return std::nullopt;
-      NodeRes a = ToF64(*arg);
+    auto unary_f64 = [&](OpCode op) -> Result<NodeRes> {
+      LAWS_RETURN_IF_ERROR(CheckArity(e, 1, "one argument"));
+      LAWS_ASSIGN_OR_RETURN(NodeRes arg,
+                            CompileNumeric(*e.children[0], f + "()"));
+      NodeRes a = ToF64(arg);
       ReleaseSlot(a.slot);
       return Emit(op, DataType::kDouble, a.slot);
     };
 
     if (f == "abs") {
-      if (e.children.size() != 1) return std::nullopt;
-      auto arg = CompileNode(*e.children[0]);
-      if (!arg.has_value() || !IsNumeric(arg->type)) return std::nullopt;
-      if (arg->type == DataType::kInt64) {
-        ReleaseSlot(arg->slot);
-        return Emit(OpCode::kAbsI64, DataType::kInt64, arg->slot);
+      LAWS_RETURN_IF_ERROR(CheckArity(e, 1, "one argument"));
+      LAWS_ASSIGN_OR_RETURN(NodeRes arg,
+                            CompileNumeric(*e.children[0], "abs()"));
+      if (arg.type == DataType::kInt64) {
+        ReleaseSlot(arg.slot);
+        return Emit(OpCode::kAbsI64, DataType::kInt64, arg.slot);
       }
-      NodeRes a = ToF64(*arg);
+      NodeRes a = ToF64(arg);
       ReleaseSlot(a.slot);
       return Emit(OpCode::kAbsF64, DataType::kDouble, a.slot);
     }
@@ -403,98 +456,70 @@ class Compiler {
     if (f == "ceil") return unary_f64(OpCode::kCeilF64);
     if (f == "round") return unary_f64(OpCode::kRoundF64);
     if (f == "pow" || f == "power") {
-      if (e.children.size() != 2) return std::nullopt;
-      auto lhs = CompileNode(*e.children[0]);
-      if (!lhs.has_value() || !IsNumeric(lhs->type)) return std::nullopt;
-      auto rhs = CompileNode(*e.children[1]);
-      if (!rhs.has_value() || !IsNumeric(rhs->type)) return std::nullopt;
-      NodeRes a = ToF64(*lhs);
-      NodeRes b = ToF64(*rhs);
+      LAWS_RETURN_IF_ERROR(CheckArity(e, 2, "two arguments"));
+      LAWS_ASSIGN_OR_RETURN(NodeRes lhs,
+                            CompileNumeric(*e.children[0], "pow()"));
+      LAWS_ASSIGN_OR_RETURN(NodeRes rhs,
+                            CompileNumeric(*e.children[1], "pow()"));
+      NodeRes a = ToF64(lhs);
+      NodeRes b = ToF64(rhs);
       ReleaseSlot(a.slot);
       ReleaseSlot(b.slot);
       return Emit(OpCode::kPowF64, DataType::kDouble, a.slot, b.slot);
     }
     if (f == "coalesce") {
-      if (e.children.empty()) return std::nullopt;
-      std::vector<NodeRes> args;
-      bool all_int = true, all_bool = true;
-      for (const auto& child : e.children) {
-        auto a = CompileNode(*child);
-        if (!a.has_value() || !IsNumeric(a->type)) return std::nullopt;
-        all_int &= a->type == DataType::kInt64;
-        all_bool &= a->type == DataType::kBool;
-        args.push_back(*a);
+      if (e.children.empty()) {
+        return Status::InvalidArgument("coalesce() needs arguments");
       }
-      // Numeric family unification, exactly as the tree-walker: a uniform
-      // INT64 or BOOL list keeps its type, any mix promotes to DOUBLE.
-      const DataType t = all_int    ? DataType::kInt64
-                         : all_bool ? DataType::kBool
-                                    : DataType::kDouble;
-      const OpCode op = all_int    ? OpCode::kCoalesceI64
-                        : all_bool ? OpCode::kCoalesceBool
-                                   : OpCode::kCoalesceF64;
+      std::vector<NodeRes> args;
+      for (const auto& child : e.children) {
+        LAWS_ASSIGN_OR_RETURN(NodeRes a, CompileNode(*child));
+        args.push_back(a);
+      }
+      LAWS_ASSIGN_OR_RETURN(DataType t, UnifyFamily(args, "coalesce()"));
       std::vector<uint16_t> slots;
       for (NodeRes& a : args) {
         if (t == DataType::kDouble) a = ToF64(a);
         slots.push_back(a.slot);
       }
-      for (uint16_t s : slots) ReleaseSlot(s);
-      const auto list = static_cast<uint32_t>(program_.arg_lists.size());
-      program_.arg_lists.push_back(std::move(slots));
-      return Emit(op, t, 0, 0, list);
+      return EmitList(Typed(OpCode::kCoalesceI64, t), t, std::move(slots));
     }
     if (f == "nullif") {
-      if (e.children.size() != 2) return std::nullopt;
-      auto lhs = CompileNode(*e.children[0]);
-      if (!lhs.has_value() || !IsNumeric(lhs->type)) return std::nullopt;
-      auto rhs = CompileNode(*e.children[1]);
-      if (!rhs.has_value() || !IsNumeric(rhs->type)) return std::nullopt;
-      OpCode op;
-      switch (lhs->type) {
-        case DataType::kInt64:  op = OpCode::kNullIfI64; break;
-        case DataType::kDouble: op = OpCode::kNullIfF64; break;
-        default:                op = OpCode::kNullIfBool; break;
-      }
-      ReleaseSlot(lhs->slot);
-      ReleaseSlot(rhs->slot);
-      const auto list = static_cast<uint32_t>(program_.arg_lists.size());
+      LAWS_RETURN_IF_ERROR(CheckArity(e, 2, "two arguments"));
+      LAWS_ASSIGN_OR_RETURN(NodeRes lhs, CompileNode(*e.children[0]));
+      LAWS_ASSIGN_OR_RETURN(NodeRes rhs, CompileNode(*e.children[1]));
       // The third entry tags b's physical type so the evaluator can read
-      // it numerically without a cast instruction.
+      // it without a cast instruction. A string/numeric pair is not a
+      // static error (§11): it fails only on lanes where both are
+      // non-NULL, which the evaluator checks.
+      ReleaseSlot(lhs.slot);
+      ReleaseSlot(rhs.slot);
+      const auto list = static_cast<uint32_t>(program_.arg_lists.size());
       program_.arg_lists.push_back(
-          {lhs->slot, rhs->slot, static_cast<uint16_t>(rhs->type)});
-      return Emit(op, lhs->type, 0, 0, list);
+          {lhs.slot, rhs.slot, static_cast<uint16_t>(rhs.type)});
+      return Emit(Typed(OpCode::kNullIfI64, lhs.type), lhs.type, 0, 0, list);
     }
-    return std::nullopt;  // unknown function: tree-walker diagnoses
+    return Status::InvalidArgument("unknown function: " + f);
   }
 
-  std::optional<NodeRes> CompileCase(const Expr& e) {
+  Result<NodeRes> CompileCase(const Expr& e) {
     const bool has_else = e.case_has_else;
     const size_t pairs = (e.children.size() - (has_else ? 1 : 0)) / 2;
     std::vector<NodeRes> whens, thens;
     for (size_t i = 0; i < pairs; ++i) {
-      auto w = CompileNode(*e.children[2 * i]);
-      if (!w.has_value() || w->type != DataType::kBool) return std::nullopt;
-      auto t = CompileNode(*e.children[2 * i + 1]);
-      if (!t.has_value() || !IsNumeric(t->type)) return std::nullopt;
-      whens.push_back(*w);
-      thens.push_back(*t);
+      LAWS_ASSIGN_OR_RETURN(NodeRes w, CompileNode(*e.children[2 * i]));
+      if (w.type != DataType::kBool) {
+        return Status::TypeMismatch("CASE WHEN condition is not boolean");
+      }
+      LAWS_ASSIGN_OR_RETURN(NodeRes t, CompileNode(*e.children[2 * i + 1]));
+      whens.push_back(w);
+      thens.push_back(t);
     }
     if (has_else) {
-      auto t = CompileNode(*e.children.back());
-      if (!t.has_value() || !IsNumeric(t->type)) return std::nullopt;
-      thens.push_back(*t);
+      LAWS_ASSIGN_OR_RETURN(NodeRes t, CompileNode(*e.children.back()));
+      thens.push_back(t);
     }
-    bool all_int = true, all_bool = true;
-    for (const NodeRes& t : thens) {
-      all_int &= t.type == DataType::kInt64;
-      all_bool &= t.type == DataType::kBool;
-    }
-    const DataType t = all_int    ? DataType::kInt64
-                       : all_bool ? DataType::kBool
-                                  : DataType::kDouble;
-    const OpCode op = all_int    ? OpCode::kCaseI64
-                      : all_bool ? OpCode::kCaseBool
-                                 : OpCode::kCaseF64;
+    LAWS_ASSIGN_OR_RETURN(DataType t, UnifyFamily(thens, "CASE"));
     if (t == DataType::kDouble) {
       for (NodeRes& b : thens) b = ToF64(b);
     }
@@ -505,13 +530,11 @@ class Compiler {
       slots.push_back(thens[i].slot);
     }
     if (has_else) slots.push_back(thens.back().slot);
-    for (uint16_t s : slots) ReleaseSlot(s);
-    const auto list = static_cast<uint32_t>(program_.arg_lists.size());
-    program_.arg_lists.push_back(std::move(slots));
-    return Emit(op, t, 0, 0, list);
+    return EmitList(Typed(OpCode::kCaseI64, t), t, std::move(slots));
   }
 
   const Schema& schema_;
+  const bool fold_;
   CompiledExpr program_;
   uint16_t next_slot_ = 0;
   std::vector<uint16_t> free_slots_;
@@ -527,9 +550,11 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kLoadColI64:  return "loadcol.i64";
     case OpCode::kLoadColF64:  return "loadcol.f64";
     case OpCode::kLoadColBool: return "loadcol.bool";
+    case OpCode::kLoadColStr:  return "loadcol.str";
     case OpCode::kConstI64:    return "const.i64";
     case OpCode::kConstF64:    return "const.f64";
     case OpCode::kConstBool:   return "const.bool";
+    case OpCode::kConstStr:    return "const.str";
     case OpCode::kConstNull:   return "const.null";
     case OpCode::kCastI64F64:  return "cast.i64.f64";
     case OpCode::kCastBoolF64: return "cast.bool.f64";
@@ -563,17 +588,26 @@ std::string_view OpCodeName(OpCode op) {
     case OpCode::kCmpLeF64:    return "cmple.f64";
     case OpCode::kCmpGtF64:    return "cmpgt.f64";
     case OpCode::kCmpGeF64:    return "cmpge.f64";
+    case OpCode::kCmpEqStr:    return "cmpeq.str";
+    case OpCode::kCmpNeStr:    return "cmpne.str";
+    case OpCode::kCmpLtStr:    return "cmplt.str";
+    case OpCode::kCmpLeStr:    return "cmple.str";
+    case OpCode::kCmpGtStr:    return "cmpgt.str";
+    case OpCode::kCmpGeStr:    return "cmpge.str";
     case OpCode::kAnd3VL:      return "and.3vl";
     case OpCode::kOr3VL:       return "or.3vl";
     case OpCode::kCoalesceI64: return "coalesce.i64";
     case OpCode::kCoalesceF64: return "coalesce.f64";
     case OpCode::kCoalesceBool:return "coalesce.bool";
+    case OpCode::kCoalesceStr: return "coalesce.str";
     case OpCode::kNullIfI64:   return "nullif.i64";
     case OpCode::kNullIfF64:   return "nullif.f64";
     case OpCode::kNullIfBool:  return "nullif.bool";
+    case OpCode::kNullIfStr:   return "nullif.str";
     case OpCode::kCaseI64:     return "case.i64";
     case OpCode::kCaseF64:     return "case.f64";
     case OpCode::kCaseBool:    return "case.bool";
+    case OpCode::kCaseStr:     return "case.str";
   }
   return "?";
 }
@@ -588,11 +622,13 @@ std::string CompiledExpr::ToString() const {
       case OpCode::kLoadColI64:
       case OpCode::kLoadColF64:
       case OpCode::kLoadColBool:
+      case OpCode::kLoadColStr:
         out += "(" + columns[ins.aux].name + ")";
         break;
       case OpCode::kConstI64:
       case OpCode::kConstF64:
       case OpCode::kConstBool:
+      case OpCode::kConstStr:
         out += "(" + constants[ins.aux].ToString() + ")";
         break;
       case OpCode::kConstNull:
@@ -601,9 +637,11 @@ std::string CompiledExpr::ToString() const {
       case OpCode::kCoalesceI64:
       case OpCode::kCoalesceF64:
       case OpCode::kCoalesceBool:
+      case OpCode::kCoalesceStr:
       case OpCode::kCaseI64:
       case OpCode::kCaseF64:
-      case OpCode::kCaseBool: {
+      case OpCode::kCaseBool:
+      case OpCode::kCaseStr: {
         out += "(";
         const auto& list = arg_lists[ins.aux];
         for (size_t i = 0; i < list.size(); ++i) {
@@ -615,7 +653,8 @@ std::string CompiledExpr::ToString() const {
       }
       case OpCode::kNullIfI64:
       case OpCode::kNullIfF64:
-      case OpCode::kNullIfBool: {
+      case OpCode::kNullIfBool:
+      case OpCode::kNullIfStr: {
         const auto& list = arg_lists[ins.aux];
         out += "(s" + std::to_string(list[0]) + ",s" +
                std::to_string(list[1]) + ")";
@@ -648,9 +687,9 @@ std::string CompiledExpr::ToString() const {
   return out;
 }
 
-std::optional<CompiledExpr> CompileExpr(const Expr& expr,
-                                        const Schema& schema) {
-  Compiler compiler(schema);
+Result<CompiledExpr> CompileExpr(const Expr& expr, const Schema& schema,
+                                 bool fold_constants) {
+  Compiler compiler(schema, fold_constants);
   return compiler.Compile(expr);
 }
 

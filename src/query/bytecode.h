@@ -2,47 +2,49 @@
 #define LAWSDB_QUERY_BYTECODE_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "query/ast.h"
 #include "storage/schema.h"
 
 namespace laws {
 
-/// Compile-once expression tier: an `Expr` tree is lowered to a flat
-/// postfix program of typed opcodes executed by a stack machine over
-/// column batches (vector_eval.h). The compiler performs constant folding
-/// (through the tree-walker's own EvaluateConstant, so folded values carry
-/// identical semantics), common-subexpression elimination by expression
-/// identity, and int64/double/bool type specialization. Register slots are
-/// assigned statically — the stack depth at every instruction is known at
-/// compile time — so the runtime never manages a dynamic stack and CSE
-/// reuses a pinned slot instead of recomputing or copying.
+/// The engine's expression evaluator: an `Expr` tree is lowered to a flat
+/// program of typed opcodes executed by a register machine over column
+/// batches (vector_eval.h). The compiler performs constant folding (each
+/// column-free subtree is compiled unfolded and run for one row, so
+/// folded values carry identical semantics), common-subexpression
+/// elimination by expression identity, and int64/double/bool/string type
+/// specialization. Register slots are assigned statically, so the runtime
+/// never manages a dynamic stack and CSE reuses a pinned slot instead of
+/// recomputing or copying.
 ///
-/// Anything outside the compilable subset (string-typed values anywhere in
-/// the tree, aggregates, unknown functions, arity or type errors) makes
-/// CompileExpr return nullopt and the caller falls back to the row-proven
-/// tree-walker, which raises exactly the diagnostics it always raised.
-/// Compiled programs therefore fail only on data-dependent numeric errors
-/// (division by zero, checked-int64 overflow), with the tree-walker's
-/// exact messages. DESIGN.md §13 documents the ISA and the invariants
-/// against the §11 NaN/NULL semantics.
+/// The compiler is also the type checker: CompileExpr raises every static
+/// error of the §11 typing rules (unknown column or function, wrong arity,
+/// mixed type families, an aggregate or `*` in scalar context), the same
+/// set the reference oracle's InferType raises. Compiled programs fail
+/// only on data-dependent errors: division by zero, checked-int64
+/// overflow, and NULLIF of a string against a numeric on a lane where
+/// both sides are non-NULL. DESIGN.md §13 documents the ISA and its
+/// invariants against the §11 NaN/NULL semantics.
 
-/// Typed opcodes. Naming: suffix is the *output* type family; comparison
-/// inputs are always doubles (the tree-walker compares every numeric pair
-/// through double coercion — the §11 2^53 horizon — so the compiled tier
-/// must too).
+/// Typed opcodes. Naming: suffix is the *output* type family; numeric
+/// comparison inputs are always doubles (every numeric pair compares
+/// through double coercion — the §11 2^53 horizon). String lanes are
+/// string_views into a column dictionary or the constant pool.
 enum class OpCode : uint8_t {
   // Loads. aux = column index (schema position) or constant-pool index.
   kLoadColI64,
   kLoadColF64,
   kLoadColBool,
+  kLoadColStr,
   kConstI64,
   kConstF64,
   kConstBool,
-  kConstNull,  // typed as F64, every lane NULL (the tree-walker's NULL type)
+  kConstStr,
+  kConstNull,  // typed as F64, every lane NULL (§11: a NULL literal is DOUBLE)
 
   // Numeric coercions (int64/bool -> double, NULLs pass through).
   kCastI64F64,
@@ -79,14 +81,21 @@ enum class OpCode : uint8_t {
   kPowF64,
 
   // Comparisons: double inputs, bool output, NULL-propagating. Lane
-  // semantics replicate the tree-walker's three-way compare (NaN sorts as
-  // "greater": NaN > x is true, NaN == x and NaN < x are false).
+  // semantics are the §11 three-way compare (NaN sorts as "greater":
+  // NaN > x is true, NaN == x and NaN < x are false).
   kCmpEqF64,
   kCmpNeF64,
   kCmpLtF64,
   kCmpLeF64,
   kCmpGtF64,
   kCmpGeF64,
+  // Lexicographic (byte-wise) string comparisons, NULL-propagating.
+  kCmpEqStr,
+  kCmpNeStr,
+  kCmpLtStr,
+  kCmpLeStr,
+  kCmpGtStr,
+  kCmpGeStr,
 
   // Three-valued logic over bool inputs.
   kAnd3VL,
@@ -98,17 +107,21 @@ enum class OpCode : uint8_t {
   kCoalesceI64,
   kCoalesceF64,
   kCoalesceBool,
+  kCoalesceStr,
   // NULLIF(a, b): output = a's type; lanes where both are non-NULL and
-  // numerically equal (double compare) become NULL. arg_list = {a, b,
-  // b_type_tag} where the tag says how to read b's slot numerically.
+  // equal (double compare for numerics, byte compare for strings) become
+  // NULL. arg_list = {a, b, b_type_tag} where the tag is b's DataType. A
+  // string against a numeric errors on lanes where both are non-NULL.
   kNullIfI64,
   kNullIfF64,
   kNullIfBool,
+  kNullIfStr,
   // Searched CASE: arg_list = {w1, t1, w2, t2, ..., [else]}; aux's low bit
   // of the *list length* disambiguates the ELSE (odd length = has ELSE).
   kCaseI64,
   kCaseF64,
   kCaseBool,
+  kCaseStr,
 };
 
 std::string_view OpCodeName(OpCode op);
@@ -151,11 +164,13 @@ struct CompiledExpr {
   std::string ToString() const;
 };
 
-/// Lowers `expr` against `schema`. Returns nullopt when the expression is
-/// outside the compilable subset (see file comment); never raises — every
-/// error case is the tree-walker's to diagnose.
-std::optional<CompiledExpr> CompileExpr(const Expr& expr,
-                                        const Schema& schema);
+/// Lowers `expr` against `schema`, or returns the static error that makes
+/// it ill-typed (see file comment). `fold_constants` = false compiles
+/// column-free subtrees as instructions instead of folding them; constant
+/// folding itself runs subtrees that way (EvaluateConstant), which keeps
+/// the compiler and the folder from recursing into each other.
+Result<CompiledExpr> CompileExpr(const Expr& expr, const Schema& schema,
+                                 bool fold_constants = true);
 
 }  // namespace laws
 

@@ -251,10 +251,11 @@ void CollectCols(const ScanPred& p, std::vector<int>* cols) {
 
 // --- Scalar evaluation ------------------------------------------------------
 //
-// Replicates EvaluateComparison/EvaluateLogical (expr_eval.cc) exactly
-// for the classified shapes: either side NULL -> NULL; three-way compare
-// c in the coerced double space with NaN landing in c = 1 regardless of
-// which side it is on; Kleene 3VL for AND/OR/NOT.
+// Replicates the §11 comparison and 3VL semantics of the compiled
+// evaluator (vector_eval.cc) exactly for the classified shapes: either
+// side NULL -> NULL; three-way compare c in the coerced double space with
+// NaN landing in c = 1 regardless of which side it is on; Kleene 3VL for
+// AND/OR/NOT.
 
 bool CmpToBool(BinaryOp op, int c) {
   switch (op) {

@@ -20,9 +20,9 @@ namespace laws {
 /// result bit-identical to the decode-then-evaluate path or declines
 /// (returns nullopt) so the caller falls back — never a third outcome.
 
-/// Scan-tier selector, mirroring ExprEngine (vector_eval.h). kCompressed
-/// is the default; LAWS_SCAN_DECODE=1 in the environment forces kDecode
-/// at startup (escape hatch + differential-tier hook).
+/// Scan-tier selector. kCompressed is the default; LAWS_SCAN_DECODE=1 in
+/// the environment forces kDecode at startup (escape hatch +
+/// differential-tier hook).
 enum class ScanEngine {
   kCompressed,
   kDecode,

@@ -15,7 +15,6 @@
 #include "compress/block_store.h"
 #include "query/agg_state.h"
 #include "query/compressed_scan.h"
-#include "query/expr_eval.h"
 #include "query/vector_eval.h"
 #include "query/parser.h"
 
@@ -153,7 +152,7 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
   key_cols.reserve(stmt.group_by.size());
   for (const auto& g : stmt.group_by) {
     LAWS_GOVERNOR_POLL();
-    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExprAuto(*g, input));
+    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExpr(*g, input));
     LAWS_RETURN_IF_ERROR(charge.Acquire(c.MemoryBytes(), "group keys"));
     key_cols.push_back(std::move(c));
   }
@@ -189,7 +188,7 @@ Result<Table> Aggregate(const Table& input, const SelectStatement& stmt,
       }
       LAWS_GOVERNOR_POLL();
       LAWS_ASSIGN_OR_RETURN(Column c,
-                            EvaluateExprAuto(*s.node->children[0], input));
+                            EvaluateExpr(*s.node->children[0], input));
       // SUM/AVG/VARIANCE/STDDEV over a string argument is a planning-time
       // type error, not a data-dependent one (the old behavior errored only
       // when some group actually held a non-null string).
@@ -348,7 +347,7 @@ Result<Table> SortRows(Table table, const SelectStatement& stmt,
   std::vector<Column> key_cols;
   for (const auto& k : keys) {
     LAWS_GOVERNOR_POLL();
-    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExprAuto(*k, table));
+    LAWS_ASSIGN_OR_RETURN(Column c, EvaluateExpr(*k, table));
     LAWS_RETURN_IF_ERROR(charge.Acquire(c.MemoryBytes(), "sort keys"));
     key_cols.push_back(std::move(c));
   }
@@ -617,12 +616,9 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
       std::string disasm;
       LAWS_ASSIGN_OR_RETURN(
           selection,
-          FilterRowsAuto(*stmt.where, source,
-                         span.active() ? &disasm : nullptr));
+          FilterRows(*stmt.where, source, span.active() ? &disasm : nullptr));
       if (span.active()) {
-        span.SetDetail(disasm.empty() ? stmt.where->ToString()
-                                      : stmt.where->ToString() +
-                                            " | bytecode: " + disasm);
+        span.SetDetail(stmt.where->ToString() + " | bytecode: " + disasm);
       }
     }
     filtered = source.GatherRows(selection);
@@ -733,12 +729,9 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
     std::string disasm;
     LAWS_ASSIGN_OR_RETURN(
         std::vector<uint32_t> selection,
-        FilterRowsAuto(*having, *current,
-                       span.active() ? &disasm : nullptr));
+        FilterRows(*having, *current, span.active() ? &disasm : nullptr));
     if (span.active()) {
-      span.SetDetail(disasm.empty()
-                         ? having->ToString()
-                         : having->ToString() + " | bytecode: " + disasm);
+      span.SetDetail(having->ToString() + " | bytecode: " + disasm);
     }
     post_having = current->GatherRows(selection);
     LAWS_RETURN_IF_ERROR(
@@ -781,12 +774,12 @@ Result<Table> ExecuteSelectOnTable(const Table& source,
       LAWS_GOVERNOR_POLL();
       std::string disasm;
       LAWS_ASSIGN_OR_RETURN(
-          Column c, EvaluateExprAuto(*item.expr, *current,
-                                     span.active() ? &disasm : nullptr));
+          Column c, EvaluateExpr(*item.expr, *current,
+                                 span.active() ? &disasm : nullptr));
       if (span.active()) {
         if (!detail.empty()) detail += ", ";
         detail += item.alias;
-        if (!disasm.empty()) detail += " | bytecode: " + disasm;
+        detail += " | bytecode: " + disasm;
       }
       LAWS_RETURN_IF_ERROR(
           pipeline_charge.Acquire(c.MemoryBytes(), "projection output"));
@@ -947,8 +940,6 @@ Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
   // Expression-tier accounting for this query: the counters are process-
   // global, so snapshot before and report the delta.
   Counter* compiled = MetricsRegistry::Global().GetCounter("expr.compiled");
-  Counter* fallback =
-      MetricsRegistry::Global().GetCounter("expr.fallback_treewalk");
   Counter* batches = MetricsRegistry::Global().GetCounter("expr.batches");
   Counter* blocks = MetricsRegistry::Global().GetCounter("scan.blocks_total");
   Counter* pruned = MetricsRegistry::Global().GetCounter("scan.blocks_pruned");
@@ -956,7 +947,6 @@ Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
       MetricsRegistry::Global().GetCounter("scan.runs_skipped");
   Counter* enc_agg = MetricsRegistry::Global().GetCounter("scan.encoded_agg");
   const uint64_t compiled0 = compiled->value();
-  const uint64_t fallback0 = fallback->value();
   const uint64_t batches0 = batches->value();
   const uint64_t blocks0 = blocks->value();
   const uint64_t pruned0 = pruned->value();
@@ -986,12 +976,8 @@ Result<std::string> ExplainAnalyzeQuery(const Catalog& catalog,
   std::string out = sink.Render();
   char buf[160];
   std::snprintf(buf, sizeof(buf),
-                "expr: engine=%s compiled=%llu fallback_treewalk=%llu "
-                "batches=%llu\n",
-                GlobalExprEngine() == ExprEngine::kBytecode ? "bytecode"
-                                                            : "treewalk",
+                "expr: compiled=%llu batches=%llu\n",
                 static_cast<unsigned long long>(compiled->value() - compiled0),
-                static_cast<unsigned long long>(fallback->value() - fallback0),
                 static_cast<unsigned long long>(batches->value() - batches0));
   out += buf;
   std::snprintf(

@@ -1,38 +1,20 @@
 #include "query/vector_eval.h"
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
 
-#include "common/env.h"
 #include "common/governor.h"
 #include "common/metrics.h"
 #include "common/timer.h"
-#include "query/expr_eval.h"
 
 namespace laws {
 namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-std::atomic<int>& EngineFlag() {
-  static std::atomic<int> flag([] {
-    const bool treewalk = EnvFlag("LAWS_EXPR_TREEWALK", false);
-    return static_cast<int>(treewalk ? ExprEngine::kTreewalk
-                                     : ExprEngine::kBytecode);
-  }());
-  return flag;
-}
-
 Counter* CompiledCounter() {
   static Counter* c = MetricsRegistry::Global().GetCounter("expr.compiled");
-  return c;
-}
-
-Counter* FallbackCounter() {
-  static Counter* c =
-      MetricsRegistry::Global().GetCounter("expr.fallback_treewalk");
   return c;
 }
 
@@ -49,14 +31,6 @@ MetricHistogram* CompileMicros() {
 
 }  // namespace
 
-ExprEngine GlobalExprEngine() {
-  return static_cast<ExprEngine>(EngineFlag().load(std::memory_order_relaxed));
-}
-
-void SetGlobalExprEngine(ExprEngine engine) {
-  EngineFlag().store(static_cast<int>(engine), std::memory_order_relaxed);
-}
-
 BatchEvaluator::BatchEvaluator(size_t batch_size)
     : batch_size_(batch_size == 0 ? 1 : batch_size) {}
 
@@ -67,8 +41,9 @@ BatchEvaluator::BatchEvaluator(size_t batch_size)
 /// slot's has_nulls is false its null8 contents are undefined and must
 /// not be read. Value lanes under a set null bit hold unspecified
 /// scratch — they never escape (materialization and filtering consult
-/// the mask first) and every error check skips them, which is exactly
-/// the tree-walker's "b == 0.0 only on non-NULL lanes" rule.
+/// the mask first) and every error check skips them (§11: "b == 0.0"
+/// errors only on non-NULL lanes). String lanes under a null bit may
+/// view memory of an earlier run, so string ops never read them.
 Status BatchEvaluator::RunBatch(const CompiledExpr& program,
                                 const Table& table, size_t base, size_t n) {
   auto nulls_of = [](const Slot& s) -> const uint8_t* {
@@ -159,7 +134,7 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
     for (size_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
   };
 
-  // Comparisons express the tree-walker's three-way compare
+  // Comparisons express the §11 three-way compare
   // c = a < b ? -1 : (a == b ? 0 : 1): an unordered pair (NaN) lands in
   // the c = 1 bucket, so NaN > x and NaN >= x are true while NaN == x,
   // NaN < x and NaN <= x are false. Plain IEEE comparisons would get
@@ -173,6 +148,48 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
     const double* pb = b.f64.data();
     uint8_t* po = o.b8.data();
     for (size_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]) ? 1 : 0;
+  };
+
+  // String comparisons map the byte-wise three-way compare through
+  // `fn(c)`; NULL lanes are skipped (see the lane discipline above).
+  auto cmp_str = [&](const Instruction& ins, auto fn) {
+    const Slot& a = slots_[ins.a];
+    const Slot& b = slots_[ins.b];
+    Slot& o = slots_[ins.out];
+    const bool has = union_nulls(a, b, o);
+    const uint8_t* no = has ? o.null8.data() : nullptr;
+    const std::string_view* pa = a.str.data();
+    const std::string_view* pb = b.str.data();
+    uint8_t* po = o.b8.data();
+    for (size_t i = 0; i < n; ++i) {
+      po[i] = (no == nullptr || no[i] == 0) && fn(pa[i].compare(pb[i])) ? 1
+                                                                         : 0;
+    }
+  };
+
+  // Lane movers for the n-ary selects, one per output type.
+  const auto copy_i64 = [](const Slot& s, Slot& out, size_t i) {
+    out.i64[i] = s.i64[i];
+  };
+  const auto copy_f64 = [](const Slot& s, Slot& out, size_t i) {
+    out.f64[i] = s.f64[i];
+  };
+  const auto copy_bool = [](const Slot& s, Slot& out, size_t i) {
+    out.b8[i] = s.b8[i];
+  };
+  const auto copy_str = [](const Slot& s, Slot& out, size_t i) {
+    out.str[i] = s.str[i];
+  };
+  // One numeric lane of any numeric physical type, as a double.
+  const auto num_lane = [](const Slot& s, DataType t, size_t i) {
+    switch (t) {
+      case DataType::kInt64:
+        return static_cast<double>(s.i64[i]);
+      case DataType::kDouble:
+        return s.f64[i];
+      default:
+        return s.b8[i] != 0 ? 1.0 : 0.0;
+    }
   };
 
   // N-ary selects share one per-lane shape; copy_lane moves one lane of
@@ -202,11 +219,14 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
     o.has_nulls = any != 0;
   };
 
-  auto nullif = [&](const Instruction& ins, auto a_num, auto copy_lane) {
+  auto nullif = [&](const Instruction& ins, DataType at,
+                    auto copy_lane) -> Status {
     const auto& list = program.arg_lists[ins.aux];
     const Slot& a = slots_[list[0]];
     const Slot& b = slots_[list[1]];
     const DataType bt = static_cast<DataType>(list[2]);
+    const bool a_str = at == DataType::kString;
+    const bool mixed = a_str != (bt == DataType::kString);
     Slot& o = slots_[ins.out];
     uint8_t* no = o.null8.data();
     uint8_t any = 0;
@@ -215,21 +235,12 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
       const bool bn = b.has_nulls && b.null8[i] != 0;
       bool equal = false;
       if (!an && !bn) {
-        // The tree-walker compares NULLIF operands numerically through
-        // double coercion regardless of physical type.
-        double bv;
-        switch (bt) {
-          case DataType::kInt64:
-            bv = static_cast<double>(b.i64[i]);
-            break;
-          case DataType::kDouble:
-            bv = b.f64[i];
-            break;
-          default:
-            bv = b.b8[i] != 0 ? 1.0 : 0.0;
-            break;
-        }
-        equal = a_num(a, i) == bv;
+        // Numerics compare through double coercion regardless of
+        // physical type, strings byte-wise; a string against a numeric
+        // is an error only here, where both sides are non-NULL.
+        if (mixed) return Status::TypeMismatch("nullif() type mismatch");
+        equal = a_str ? a.str[i] == b.str[i]
+                      : num_lane(a, at, i) == num_lane(b, bt, i);
       }
       if (an || equal) {
         no[i] = 1;
@@ -240,6 +251,7 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
       }
     }
     o.has_nulls = any != 0;
+    return Status::OK();
   };
 
   auto case_op = [&](const Instruction& ins, auto copy_lane) {
@@ -293,6 +305,14 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
         load_nulls(col, o);
         break;
       }
+      case OpCode::kLoadColStr: {
+        const Column& col = table.column(program.columns[ins.aux].index);
+        const std::vector<std::string>& dict = col.dictionary();
+        const uint32_t* codes = col.string_codes().data() + base;
+        for (size_t i = 0; i < n; ++i) o.str[i] = dict[codes[i]];
+        load_nulls(col, o);
+        break;
+      }
       case OpCode::kConstI64:
         std::fill_n(o.i64.data(), n, program.constants[ins.aux].int64());
         o.has_nulls = false;
@@ -305,6 +325,11 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
         std::fill_n(o.b8.data(), n,
                     static_cast<uint8_t>(
                         program.constants[ins.aux].boolean() ? 1 : 0));
+        o.has_nulls = false;
+        break;
+      case OpCode::kConstStr:
+        std::fill_n(o.str.data(), n,
+                    std::string_view(program.constants[ins.aux].str()));
         o.has_nulls = false;
         break;
       case OpCode::kConstNull:
@@ -506,6 +531,24 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
       case OpCode::kCmpGeF64:
         cmp_f64(ins, [](double x, double y) { return !(x < y); });
         break;
+      case OpCode::kCmpEqStr:
+        cmp_str(ins, [](int c) { return c == 0; });
+        break;
+      case OpCode::kCmpNeStr:
+        cmp_str(ins, [](int c) { return c != 0; });
+        break;
+      case OpCode::kCmpLtStr:
+        cmp_str(ins, [](int c) { return c < 0; });
+        break;
+      case OpCode::kCmpLeStr:
+        cmp_str(ins, [](int c) { return c <= 0; });
+        break;
+      case OpCode::kCmpGtStr:
+        cmp_str(ins, [](int c) { return c > 0; });
+        break;
+      case OpCode::kCmpGeStr:
+        cmp_str(ins, [](int c) { return c >= 0; });
+        break;
       case OpCode::kAnd3VL:
       case OpCode::kOr3VL: {
         const Slot& a = slots_[ins.a];
@@ -550,70 +593,47 @@ Status BatchEvaluator::RunBatch(const CompiledExpr& program,
         break;
       }
       case OpCode::kCoalesceI64:
-        coalesce(ins, [](const Slot& s, Slot& out, size_t i) {
-          out.i64[i] = s.i64[i];
-        });
+        coalesce(ins, copy_i64);
         break;
       case OpCode::kCoalesceF64:
-        coalesce(ins, [](const Slot& s, Slot& out, size_t i) {
-          out.f64[i] = s.f64[i];
-        });
+        coalesce(ins, copy_f64);
         break;
       case OpCode::kCoalesceBool:
-        coalesce(ins, [](const Slot& s, Slot& out, size_t i) {
-          out.b8[i] = s.b8[i];
-        });
+        coalesce(ins, copy_bool);
+        break;
+      case OpCode::kCoalesceStr:
+        coalesce(ins, copy_str);
         break;
       case OpCode::kNullIfI64:
-        nullif(
-            ins,
-            [](const Slot& s, size_t i) {
-              return static_cast<double>(s.i64[i]);
-            },
-            [](const Slot& s, Slot& out, size_t i) {
-              out.i64[i] = s.i64[i];
-            });
+        LAWS_RETURN_IF_ERROR(nullif(ins, DataType::kInt64, copy_i64));
         break;
       case OpCode::kNullIfF64:
-        nullif(
-            ins, [](const Slot& s, size_t i) { return s.f64[i]; },
-            [](const Slot& s, Slot& out, size_t i) {
-              out.f64[i] = s.f64[i];
-            });
+        LAWS_RETURN_IF_ERROR(nullif(ins, DataType::kDouble, copy_f64));
         break;
       case OpCode::kNullIfBool:
-        nullif(
-            ins,
-            [](const Slot& s, size_t i) {
-              return s.b8[i] != 0 ? 1.0 : 0.0;
-            },
-            [](const Slot& s, Slot& out, size_t i) {
-              out.b8[i] = s.b8[i];
-            });
+        LAWS_RETURN_IF_ERROR(nullif(ins, DataType::kBool, copy_bool));
+        break;
+      case OpCode::kNullIfStr:
+        LAWS_RETURN_IF_ERROR(nullif(ins, DataType::kString, copy_str));
         break;
       case OpCode::kCaseI64:
-        case_op(ins, [](const Slot& s, Slot& out, size_t i) {
-          out.i64[i] = s.i64[i];
-        });
+        case_op(ins, copy_i64);
         break;
       case OpCode::kCaseF64:
-        case_op(ins, [](const Slot& s, Slot& out, size_t i) {
-          out.f64[i] = s.f64[i];
-        });
+        case_op(ins, copy_f64);
         break;
       case OpCode::kCaseBool:
-        case_op(ins, [](const Slot& s, Slot& out, size_t i) {
-          out.b8[i] = s.b8[i];
-        });
+        case_op(ins, copy_bool);
+        break;
+      case OpCode::kCaseStr:
+        case_op(ins, copy_str);
         break;
     }
   }
   return Status::OK();
 }
 
-Result<Column> BatchEvaluator::Run(const CompiledExpr& program,
-                                   const Table& table) {
-  const size_t rows = table.num_rows();
+void BatchEvaluator::Provision(const CompiledExpr& program) {
   if (slots_.size() < program.num_slots) slots_.resize(program.num_slots);
   for (size_t s = 0; s < program.num_slots; ++s) {
     Slot& slot = slots_[s];
@@ -621,9 +641,16 @@ Result<Column> BatchEvaluator::Run(const CompiledExpr& program,
       slot.f64.resize(batch_size_);
       slot.i64.resize(batch_size_);
       slot.b8.resize(batch_size_);
+      slot.str.resize(batch_size_);
       slot.null8.resize(batch_size_);
     }
   }
+}
+
+Result<Column> BatchEvaluator::Run(const CompiledExpr& program,
+                                   const Table& table) {
+  const size_t rows = table.num_rows();
+  Provision(program);
   Column out(program.result_type);
   const Slot& r = slots_[program.result_slot];
   uint64_t batches = 0;
@@ -644,7 +671,14 @@ Result<Column> BatchEvaluator::Run(const CompiledExpr& program,
         out.AppendBoolBatch(r.b8.data(), nulls, n);
         break;
       case DataType::kString:
-        return Status::Internal("compiled expression produced a string");
+        for (size_t i = 0; i < n; ++i) {
+          if (nulls != nullptr && nulls[i] != 0) {
+            LAWS_RETURN_IF_ERROR(out.AppendNull());
+          } else {
+            out.AppendString(r.str[i]);
+          }
+        }
+        break;
     }
   }
   BatchesCounter()->Add(batches);
@@ -653,22 +687,11 @@ Result<Column> BatchEvaluator::Run(const CompiledExpr& program,
 
 Result<std::vector<uint32_t>> BatchEvaluator::RunFilter(
     const CompiledExpr& program, const Table& table) {
-  const size_t rows = table.num_rows();
-  if (slots_.size() < program.num_slots) slots_.resize(program.num_slots);
-  for (size_t s = 0; s < program.num_slots; ++s) {
-    Slot& slot = slots_[s];
-    if (slot.f64.size() < batch_size_) {
-      slot.f64.resize(batch_size_);
-      slot.i64.resize(batch_size_);
-      slot.b8.resize(batch_size_);
-      slot.null8.resize(batch_size_);
-    }
+  if (program.result_type != DataType::kBool) {
+    return Status::TypeMismatch("WHERE predicate is not boolean");
   }
-  // A non-boolean predicate still evaluates fully before the type error,
-  // matching FilterRows (which materializes the mask column first), so a
-  // data-dependent numeric error wins over the type diagnostic in both
-  // tiers.
-  const bool is_bool = program.result_type == DataType::kBool;
+  const size_t rows = table.num_rows();
+  Provision(program);
   std::vector<uint32_t> selected;
   const Slot& r = slots_[program.result_slot];
   uint64_t batches = 0;
@@ -677,7 +700,6 @@ Result<std::vector<uint32_t>> BatchEvaluator::RunFilter(
     const size_t n = std::min(batch_size_, rows - base);
     LAWS_RETURN_IF_ERROR(RunBatch(program, table, base, n));
     ++batches;
-    if (!is_bool) continue;
     const uint8_t* nulls = r.has_nulls ? r.null8.data() : nullptr;
     const uint8_t* vals = r.b8.data();
     for (size_t i = 0; i < n; ++i) {
@@ -687,24 +709,17 @@ Result<std::vector<uint32_t>> BatchEvaluator::RunFilter(
     }
   }
   BatchesCounter()->Add(batches);
-  if (!is_bool) {
-    return Status::TypeMismatch("WHERE predicate is not boolean");
-  }
   return selected;
 }
 
 namespace {
 
-std::optional<CompiledExpr> CompileWithMetrics(const Expr& expr,
-                                               const Schema& schema) {
+Result<CompiledExpr> CompileWithMetrics(const Expr& expr,
+                                        const Schema& schema) {
   Timer timer;
-  std::optional<CompiledExpr> program = CompileExpr(expr, schema);
+  Result<CompiledExpr> program = CompileExpr(expr, schema);
   CompileMicros()->Record(timer.ElapsedMicros());
-  if (program.has_value()) {
-    CompiledCounter()->Add(1);
-  } else {
-    FallbackCounter()->Add(1);
-  }
+  if (program.ok()) CompiledCounter()->Add(1);
   return program;
 }
 
@@ -717,31 +732,40 @@ BatchEvaluator& ThreadEvaluator() {
 
 }  // namespace
 
-Result<Column> EvaluateExprAuto(const Expr& expr, const Table& table,
-                                std::string* disassembly) {
+Result<Column> EvaluateExpr(const Expr& expr, const Table& table,
+                            std::string* disassembly) {
   if (disassembly != nullptr) disassembly->clear();
-  if (GlobalExprEngine() == ExprEngine::kTreewalk) {
-    return EvaluateExpr(expr, table);
-  }
-  std::optional<CompiledExpr> program =
-      CompileWithMetrics(expr, table.schema());
-  if (!program.has_value()) return EvaluateExpr(expr, table);
-  if (disassembly != nullptr) *disassembly = program->ToString();
-  return ThreadEvaluator().Run(*program, table);
+  LAWS_ASSIGN_OR_RETURN(CompiledExpr program,
+                        CompileWithMetrics(expr, table.schema()));
+  if (disassembly != nullptr) *disassembly = program.ToString();
+  return ThreadEvaluator().Run(program, table);
 }
 
-Result<std::vector<uint32_t>> FilterRowsAuto(const Expr& predicate,
-                                             const Table& table,
-                                             std::string* disassembly) {
+Result<std::vector<uint32_t>> FilterRows(const Expr& predicate,
+                                         const Table& table,
+                                         std::string* disassembly) {
   if (disassembly != nullptr) disassembly->clear();
-  if (GlobalExprEngine() == ExprEngine::kTreewalk) {
-    return FilterRows(predicate, table);
-  }
-  std::optional<CompiledExpr> program =
-      CompileWithMetrics(predicate, table.schema());
-  if (!program.has_value()) return FilterRows(predicate, table);
-  if (disassembly != nullptr) *disassembly = program->ToString();
-  return ThreadEvaluator().RunFilter(*program, table);
+  LAWS_ASSIGN_OR_RETURN(CompiledExpr program,
+                        CompileWithMetrics(predicate, table.schema()));
+  if (disassembly != nullptr) *disassembly = program.ToString();
+  return ThreadEvaluator().RunFilter(program, table);
+}
+
+Result<Value> EvaluateConstant(const Expr& expr) {
+  // Model-served reads evaluate their literal operand here on every call,
+  // so the common case skips the compiler entirely.
+  if (expr.kind == ExprKind::kLiteral) return expr.literal;
+  static const Table kOneRow = [] {
+    Table t{Schema{}};
+    (void)t.AppendRow({});
+    return t;
+  }();
+  // Unfolded: constant folding calls back into this function, and the
+  // unfolded compile is what keeps the two from recursing.
+  LAWS_ASSIGN_OR_RETURN(CompiledExpr program,
+                        CompileExpr(expr, Schema{}, /*fold_constants=*/false));
+  LAWS_ASSIGN_OR_RETURN(Column c, ThreadEvaluator().Run(program, kOneRow));
+  return c.GetValue(0);
 }
 
 }  // namespace laws

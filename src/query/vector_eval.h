@@ -2,6 +2,7 @@
 #define LAWSDB_QUERY_VECTOR_EVAL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -10,24 +11,16 @@
 
 namespace laws {
 
-/// Batch stack machine executing CompiledExpr programs (bytecode.h) over
-/// column batches of kExprBatchSize values, with null validity carried as
-/// one byte per lane alongside each register. All register storage lives
-/// in the evaluator and is reused across batches, runs and queries — the
-/// steady state performs zero allocations per batch.
+/// Batch register machine executing CompiledExpr programs (bytecode.h)
+/// over column batches of kExprBatchSize values, with null validity
+/// carried as one byte per lane alongside each register. All register
+/// storage lives in the evaluator and is reused across batches, runs and
+/// queries — the steady state performs zero allocations per batch.
 ///
-/// The `*Auto` entry points are what the executor calls: compile once,
-/// run batched, and fall back to the row-proven tree-walker
-/// (expr_eval.h) for anything the compiler declines or when the
-/// tree-walk tier is forced (LAWS_EXPR_TREEWALK=1 / SetGlobalExprEngine)
-/// — the differential harness runs every query on both tiers and
-/// requires bit identity.
-
-/// Which expression tier the executor uses. The default comes from the
-/// environment: LAWS_EXPR_TREEWALK=1 forces the tree-walker process-wide.
-enum class ExprEngine { kBytecode, kTreewalk };
-ExprEngine GlobalExprEngine();
-void SetGlobalExprEngine(ExprEngine engine);
+/// EvaluateExpr / FilterRows / EvaluateConstant below are the engine's
+/// only expression entry points: compile once (which type-checks), then
+/// run batched. The differential harness checks them against the
+/// independent row-at-a-time reference oracle (testing/reference_oracle.h).
 
 /// Batch width. 1–4K is the classic vectorized-execution sweet spot
 /// (registers stay in L1/L2, amortizes dispatch ~1000×); tests use small
@@ -39,28 +32,32 @@ class BatchEvaluator {
   explicit BatchEvaluator(size_t batch_size = kExprBatchSize);
 
   /// Executes `program` over every row of `table`, materializing the
-  /// result column (type = program.result_type). Errors carry the
-  /// tree-walker's exact diagnostics ("division by zero", ...).
+  /// result column (type = program.result_type). Errors are the
+  /// data-dependent ones ("division by zero", ...).
   Result<Column> Run(const CompiledExpr& program, const Table& table);
 
-  /// Filter fast path: `program` must produce BOOL; returns the indices
-  /// of rows where it is TRUE (NULL/FALSE excluded) without ever
-  /// materializing the mask column.
+  /// Filter fast path: returns the indices of rows where `program` is
+  /// TRUE (NULL/FALSE excluded) without ever materializing the mask
+  /// column. A program that does not produce BOOL is a TypeMismatch.
   Result<std::vector<uint32_t>> RunFilter(const CompiledExpr& program,
                                           const Table& table);
 
  private:
   /// One register: typed lanes plus a 1-byte-per-lane null mask (1 =
   /// NULL, matching GatherNumericMasked). `has_nulls` lets ops take a
-  /// dense loop that skips mask reads when no lane is NULL.
+  /// dense loop that skips mask reads when no lane is NULL. String lanes
+  /// view a column dictionary or the program's constant pool, both of
+  /// which outlive the run.
   struct Slot {
     std::vector<double> f64;
     std::vector<int64_t> i64;
     std::vector<uint8_t> b8;
+    std::vector<std::string_view> str;
     std::vector<uint8_t> null8;
     bool has_nulls = false;
   };
 
+  void Provision(const CompiledExpr& program);
   Status RunBatch(const CompiledExpr& program, const Table& table,
                   size_t base, size_t n);
 
@@ -68,20 +65,24 @@ class BatchEvaluator {
   std::vector<Slot> slots_;
 };
 
-/// Compile-then-run-batched evaluation with tree-walk fallback: the
-/// executor's expression entry point. Bumps `expr.compiled` /
-/// `expr.fallback_treewalk` / `expr.batches` counters and the
-/// `expr.compile_micros` histogram. When `disassembly` is non-null and
-/// the bytecode tier ran, it receives the compiled program dump (for
-/// EXPLAIN ANALYZE).
-Result<Column> EvaluateExprAuto(const Expr& expr, const Table& table,
-                                std::string* disassembly = nullptr);
+/// Evaluates a scalar expression over every row of `table`: compile
+/// (raising any static error), then run batched. Bumps the
+/// `expr.compiled` / `expr.batches` counters and the
+/// `expr.compile_micros` histogram. When `disassembly` is non-null it
+/// receives the compiled program dump (for EXPLAIN ANALYZE).
+Result<Column> EvaluateExpr(const Expr& expr, const Table& table,
+                            std::string* disassembly = nullptr);
 
-/// Filter counterpart of EvaluateExprAuto: row indices where the
-/// predicate is TRUE, via RunFilter when compiled, FilterRows otherwise.
-Result<std::vector<uint32_t>> FilterRowsAuto(
-    const Expr& predicate, const Table& table,
-    std::string* disassembly = nullptr);
+/// Row indices where the predicate is TRUE (NULL and FALSE excluded); a
+/// non-boolean predicate is a TypeMismatch.
+Result<std::vector<uint32_t>> FilterRows(const Expr& predicate,
+                                         const Table& table,
+                                         std::string* disassembly = nullptr);
+
+/// Evaluates an expression with no column references to a single Value:
+/// a bare literal returns directly, anything else compiles against an
+/// empty schema (without constant folding) and runs for one row.
+Result<Value> EvaluateConstant(const Expr& expr);
 
 }  // namespace laws
 

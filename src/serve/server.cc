@@ -270,8 +270,14 @@ std::future<Result<Table>> ClientSession::SubmitSql(const std::string& sql) {
   // GlobalShared pins the pool across the submission, so a concurrent
   // SetGlobalThreadCount cannot tear it down under the task.
   std::shared_ptr<ThreadPool> pool = ThreadPool::GlobalShared();
-  pool->Submit([self, promise, sql, pool] {
-    promise->set_value(self->ExecuteSql(sql));
+  pool->Submit([self, promise, sql, pool]() mutable {
+    Result<Table> result = self->ExecuteSql(sql);
+    // Release the session before completing the future: once the caller
+    // has the answer it may destroy the Server, and a last session
+    // reference dropped afterwards on this worker would close the
+    // session against a dead Server.
+    self.reset();
+    promise->set_value(std::move(result));
   });
   return future;
 }

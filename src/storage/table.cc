@@ -1,10 +1,20 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace laws {
+namespace {
 
-Table::Table(Schema schema) : schema_(std::move(schema)) {
+uint64_t NextLineage() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+Table::Table(Schema schema)
+    : schema_(std::move(schema)), lineage_(NextLineage()) {
   columns_.reserve(schema_.num_fields());
   for (const Field& f : schema_.fields()) {
     columns_.emplace_back(f.type, f.nullable);

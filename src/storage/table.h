@@ -53,6 +53,13 @@ class Table {
   /// Monotonic counter incremented by every mutation.
   uint64_t data_version() const { return data_version_; }
 
+  /// Identity of the table's append-only history. Every newly built table
+  /// (constructor, FromColumns, GatherRows) draws a fresh, process-wide
+  /// increasing id; copies keep it, so a copy-on-write clone that only
+  /// appends stays in its source's lineage while a replacement does not.
+  /// Within one lineage, rows [0, n) of any view are the same rows.
+  uint64_t lineage() const { return lineage_; }
+
   /// Total columnar heap footprint in bytes.
   size_t MemoryBytes() const;
 
@@ -64,6 +71,7 @@ class Table {
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
   uint64_t data_version_ = 0;
+  uint64_t lineage_;
 };
 
 using TablePtr = std::shared_ptr<Table>;

@@ -1,7 +1,9 @@
-// Unit tests for the compiled expression tier (DESIGN.md §13): golden
-// programs out of the compiler, constant folding / CSE / type
-// specialization, §11 semantics parity against the tree-walker, and the
-// batch/scratch mechanics of the VM.
+// Unit tests for the compiled expression evaluator (DESIGN.md §13):
+// golden programs out of the compiler, constant folding / CSE / type
+// specialization, static type errors, §11 semantics parity against the
+// row-at-a-time reference oracle, a golden table of string cases run
+// through both the executor and the oracle, and the batch/scratch
+// mechanics of the VM.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +15,12 @@
 #include <vector>
 
 #include "query/bytecode.h"
-#include "query/expr_eval.h"
+#include "query/executor.h"
 #include "query/parser.h"
 #include "query/vector_eval.h"
+#include "storage/catalog.h"
 #include "storage/table.h"
+#include "testing/reference_oracle.h"
 
 namespace laws {
 namespace {
@@ -39,10 +43,41 @@ std::unique_ptr<Expr> ParseExpr(const std::string& text) {
   return std::move(stmt->select_list[0].expr);
 }
 
-std::optional<CompiledExpr> Compile(const std::string& text) {
+Result<CompiledExpr> Compile(const std::string& text) {
   auto expr = ParseExpr(text);
-  if (expr == nullptr) return std::nullopt;
+  if (expr == nullptr) return Status::InvalidArgument("unparsable: " + text);
   return CompileExpr(*expr, TestSchema());
+}
+
+// Runs `SELECT <text> FROM t` through the reference oracle over a catalog
+// holding `table` as t.
+testing::OracleResult OracleSelect(const std::string& text,
+                                   const Table& table) {
+  Catalog catalog;
+  EXPECT_TRUE(
+      catalog.Register("t", std::make_shared<Table>(table)).ok());
+  auto stmt = ParseSelect("SELECT " + text + " FROM t");
+  EXPECT_TRUE(stmt.ok()) << text;
+  return testing::OracleExecuteSelect(catalog, *stmt);
+}
+
+// True when two non-NULL cells of `type` are the same value: raw bits for
+// doubles (so -0.0 and +0.0 differ) with every NaN one class.
+bool SameCell(DataType type, const Column& a, const Column& b, size_t i) {
+  switch (type) {
+    case DataType::kDouble: {
+      const double x = a.DoubleAt(i), y = b.DoubleAt(i);
+      if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    case DataType::kInt64:
+      return a.Int64At(i) == b.Int64At(i);
+    case DataType::kBool:
+      return a.BoolAt(i) == b.BoolAt(i);
+    case DataType::kString:
+      return a.StringAt(i) == b.StringAt(i);
+  }
+  return false;
 }
 
 Table SmallTable() {
@@ -68,60 +103,45 @@ Table SmallTable() {
   return t;
 }
 
-// Both engines over the same expression and table must agree bit-for-bit
-// (NaNs one class) including NULL-ness, or raise errors with identical
-// messages.
-void ExpectParity(const std::string& text, const Table& table) {
+// The compiled evaluator and the reference oracle over the same
+// expression and table must agree bit-for-bit (NaNs one class) including
+// type and NULL-ness, or both raise an error. Returns the evaluator's
+// status so callers can pin the diagnostic.
+Status ExpectParity(const std::string& text, const Table& table) {
   auto expr = ParseExpr(text);
-  ASSERT_NE(expr, nullptr);
+  EXPECT_NE(expr, nullptr);
+  if (expr == nullptr) return Status::InvalidArgument(text);
   auto compiled = CompileExpr(*expr, table.schema());
-  ASSERT_TRUE(compiled.has_value()) << text << " did not compile";
-  Result<Column> tw = EvaluateExpr(*expr, table);
+  EXPECT_TRUE(compiled.ok()) << text << ": " << compiled.status().ToString();
+  if (!compiled.ok()) return compiled.status();
   BatchEvaluator eval;
   Result<Column> bc = eval.Run(*compiled, table);
-  ASSERT_EQ(tw.ok(), bc.ok())
-      << text << ": treewalk " << (tw.ok() ? "ok" : tw.status().ToString())
-      << " vs bytecode " << (bc.ok() ? "ok" : bc.status().ToString());
-  if (!tw.ok()) {
-    EXPECT_EQ(tw.status().ToString(), bc.status().ToString()) << text;
-    return;
+  const testing::OracleResult oracle = OracleSelect(text, table);
+  EXPECT_EQ(oracle.status.ok(), bc.ok())
+      << text << ": oracle " << oracle.status.ToString() << " vs bytecode "
+      << (bc.ok() ? "ok" : bc.status().ToString());
+  if (!bc.ok() || !oracle.status.ok()) return bc.status();
+  const Column& want = oracle.table.column(0);
+  EXPECT_EQ(want.size(), bc->size()) << text;
+  EXPECT_EQ(want.type(), bc->type()) << text;
+  if (want.size() != bc->size() || want.type() != bc->type()) {
+    return Status::OK();
   }
-  ASSERT_EQ(tw->size(), bc->size()) << text;
-  ASSERT_EQ(tw->type(), bc->type()) << text;
-  for (size_t i = 0; i < tw->size(); ++i) {
-    ASSERT_EQ(tw->IsNull(i), bc->IsNull(i)) << text << " row " << i;
-    if (tw->IsNull(i)) continue;
-    switch (tw->type()) {
-      case DataType::kDouble: {
-        const double a = tw->DoubleAt(i), b = bc->DoubleAt(i);
-        if (std::isnan(a) || std::isnan(b)) {
-          EXPECT_TRUE(std::isnan(a) && std::isnan(b)) << text << " row " << i;
-        } else {
-          uint64_t ba, bb;
-          std::memcpy(&ba, &a, 8);
-          std::memcpy(&bb, &b, 8);
-          EXPECT_EQ(ba, bb) << text << " row " << i << ": " << a << " vs "
-                            << b;
-        }
-        break;
-      }
-      case DataType::kInt64:
-        EXPECT_EQ(tw->Int64At(i), bc->Int64At(i)) << text << " row " << i;
-        break;
-      case DataType::kBool:
-        EXPECT_EQ(tw->BoolAt(i), bc->BoolAt(i)) << text << " row " << i;
-        break;
-      default:
-        FAIL() << "unexpected result type for " << text;
-    }
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(want.IsNull(i), bc->IsNull(i)) << text << " row " << i;
+    if (want.IsNull(i) || bc->IsNull(i)) continue;
+    EXPECT_TRUE(SameCell(want.type(), want, *bc, i))
+        << text << " row " << i << ": oracle " << want.GetValue(i).ToString()
+        << " vs bytecode " << bc->GetValue(i).ToString();
   }
+  return Status::OK();
 }
 
 // --- Golden programs ------------------------------------------------------
 
 TEST(BytecodeCompilerTest, GoldenIntAdd) {
   auto p = Compile("ia + 1");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(),
             "s0=loadcol.i64(ia); s1=const.i64(1); s1=add.i64(s0,s1)");
   EXPECT_EQ(p->result_type, DataType::kInt64);
@@ -130,7 +150,7 @@ TEST(BytecodeCompilerTest, GoldenIntAdd) {
 
 TEST(BytecodeCompilerTest, GoldenMixedPromotesToDouble) {
   auto p = Compile("ia * da");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(),
             "s0=loadcol.i64(ia); s1=loadcol.f64(da); s0=cast.i64.f64(s0); "
             "s1=mul.f64(s0,s1)");
@@ -141,7 +161,7 @@ TEST(BytecodeCompilerTest, GoldenComparisonIsDoubleTyped) {
   // §11: every numeric comparison goes through double coercion, even
   // int64-vs-int64 (the 2^53 horizon is intentional, shared semantics).
   auto p = Compile("ia < ib");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(),
             "s0=loadcol.i64(ia); s1=loadcol.i64(ib); s0=cast.i64.f64(s0); "
             "s1=cast.i64.f64(s1); s1=cmplt.f64(s0,s1)");
@@ -152,7 +172,7 @@ TEST(BytecodeCompilerTest, GoldenComparisonIsDoubleTyped) {
 
 TEST(BytecodeCompilerTest, ConstantSubtreeFoldsToOneLoad) {
   auto p = Compile("da + (1 + 2 * 3)");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   // The column-free subtree becomes a single constant instruction.
   size_t consts = 0;
   for (const auto& ins : p->code) {
@@ -165,11 +185,11 @@ TEST(BytecodeCompilerTest, ConstantSubtreeFoldsToOneLoad) {
 }
 
 TEST(BytecodeCompilerTest, FoldTimeErrorVetoesTheFold) {
-  // 1/0 errors at evaluation time in the tree-walker. Folding it at
-  // compile time would move the error; the compiler must leave the
-  // division in the program instead.
+  // 1/0 is a data-dependent error: it fires only when rows flow (an
+  // empty table evaluates cleanly). Folding it at compile time would move
+  // the error; the compiler must leave the division in the program.
   auto p = Compile("da + 1 / 0");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   bool has_div = false;
   for (const auto& ins : p->code) has_div |= ins.op == OpCode::kDivF64;
   EXPECT_TRUE(has_div) << p->ToString();
@@ -177,7 +197,7 @@ TEST(BytecodeCompilerTest, FoldTimeErrorVetoesTheFold) {
 
 TEST(BytecodeCompilerTest, SharedSubexpressionCompilesOnce) {
   auto p = Compile("(da * db) + (da * db)");
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   size_t muls = 0;
   for (const auto& ins : p->code) muls += ins.op == OpCode::kMulF64;
   EXPECT_EQ(muls, 1u) << p->ToString();
@@ -205,24 +225,72 @@ TEST(BytecodeCompilerTest, NearEqualLiteralsDoNotShareARegister) {
 TEST(BytecodeCompilerTest, LiteralTypeCollisionKeepsCaseInt64) {
   // int64 0 and double 0.0 both print "0"; under a text-keyed CSE the
   // ELSE 0 inherited the double constant's register and type, promoting
-  // the CASE to DOUBLE where the tree-walker stays INT64 (seed 21765).
+  // the CASE to DOUBLE where §11 keeps INT64 (seed 21765).
   const std::string text = "CASE WHEN da >= 0.0 THEN ia ELSE 0 END";
   auto p = Compile(text);
-  ASSERT_TRUE(p.has_value());
+  ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->result_type, DataType::kInt64) << p->ToString();
   ExpectParity(text, SmallTable());
 }
 
-// --- Fallback boundary ----------------------------------------------------
+// --- The compiler is the type checker -------------------------------------
 
-TEST(BytecodeCompilerTest, DeclinesNonCompilableShapes) {
-  EXPECT_FALSE(Compile("sa").has_value());              // string column
-  EXPECT_FALSE(Compile("'x'").has_value());             // string literal
-  EXPECT_FALSE(Compile("sa = 'x'").has_value());        // string compare
-  EXPECT_FALSE(Compile("SUM(ia)").has_value());         // aggregate
-  EXPECT_FALSE(Compile("frobnicate(da)").has_value());  // unknown function
-  EXPECT_FALSE(Compile("nosuchcol + 1").has_value());   // unknown column
-  EXPECT_FALSE(Compile("ia AND ba").has_value());       // type error
+TEST(BytecodeCompilerTest, CompilesStringShapes) {
+  auto col = Compile("sa");
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  EXPECT_EQ(col->result_type, DataType::kString);
+  EXPECT_EQ(col->ToString(), "s0=loadcol.str(sa)");
+  auto cmp = Compile("sa = 'x'");
+  ASSERT_TRUE(cmp.ok()) << cmp.status().ToString();
+  EXPECT_EQ(cmp->result_type, DataType::kBool);
+  EXPECT_NE(cmp->ToString().find("cmpeq.str"), std::string::npos)
+      << cmp->ToString();
+  auto lit = Compile("'x'");
+  ASSERT_TRUE(lit.ok());
+  EXPECT_EQ(lit->result_type, DataType::kString);
+  // A column-free string subtree folds to one string constant.
+  auto folded = Compile("coalesce('a', 'b')");
+  ASSERT_TRUE(folded.ok());
+  EXPECT_EQ(folded->code.size(), 1u) << folded->ToString();
+  EXPECT_EQ(folded->code[0].op, OpCode::kConstStr);
+}
+
+TEST(BytecodeCompilerTest, RaisesStaticErrors) {
+  struct Case {
+    const char* text;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"SUM(ia)", StatusCode::kInvalidArgument},         // aggregate
+      {"frobnicate(da)", StatusCode::kInvalidArgument},  // unknown function
+      {"nosuchcol + 1", StatusCode::kNotFound},          // unknown column
+      {"sqrt(da, db)", StatusCode::kInvalidArgument},    // arity
+      {"coalesce()", StatusCode::kInvalidArgument},      // arity
+      {"nullif(ia)", StatusCode::kInvalidArgument},      // arity
+      {"ia AND ba", StatusCode::kTypeMismatch},          // type family
+      {"sa + 1", StatusCode::kTypeMismatch},
+      {"sa < 1", StatusCode::kTypeMismatch},
+      {"-sa", StatusCode::kTypeMismatch},
+      {"NOT ia", StatusCode::kTypeMismatch},
+      {"coalesce(sa, 1)", StatusCode::kTypeMismatch},
+      {"CASE WHEN ba THEN sa ELSE 0 END", StatusCode::kTypeMismatch},
+      {"CASE WHEN ia THEN 1 END", StatusCode::kTypeMismatch},
+  };
+  for (const Case& c : cases) {
+    auto p = Compile(c.text);
+    ASSERT_FALSE(p.ok()) << c.text << " compiled: " << p->ToString();
+    EXPECT_EQ(p.status().code(), c.code)
+        << c.text << ": " << p.status().ToString();
+  }
+  // `*` only exists inside COUNT(*); on its own it is a scalar error.
+  auto star = CompileExpr(*Expr::MakeStar(), TestSchema());
+  ASSERT_FALSE(star.ok());
+  EXPECT_EQ(star.status().code(), StatusCode::kInvalidArgument);
+  // A string/numeric NULLIF is not static: it compiles and errors only on
+  // lanes where both sides are non-NULL (see the golden string table).
+  auto mixed = Compile("nullif(sa, 1)");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(mixed->result_type, DataType::kString);
 }
 
 // --- §11 semantics parity -------------------------------------------------
@@ -243,7 +311,7 @@ TEST(BytecodeSemanticsTest, ArithmeticParity) {
 }
 
 TEST(BytecodeSemanticsTest, NaNComparisonClasses) {
-  // The NaN row must land in the same truth bucket on both engines:
+  // The NaN row must land in the oracle's truth bucket:
   // NaN > x and NaN >= x are TRUE, ==/</<= FALSE (three-way compare puts
   // NaN in the "greater" class).
   const Table t = SmallTable();
@@ -253,10 +321,10 @@ TEST(BytecodeSemanticsTest, NaNComparisonClasses) {
   }
 }
 
-TEST(BytecodeSemanticsTest, SignedZeroSurvivesBothEngines) {
+TEST(BytecodeSemanticsTest, SignedZeroSurvives) {
   const Table t = SmallTable();
-  // Row 1 has da = -0.0; the bit pattern must round-trip both engines
-  // (ExpectParity compares raw bits, not ==).
+  // Row 1 has da = -0.0; the bit pattern must round-trip (ExpectParity
+  // compares raw bits, not ==).
   ExpectParity("da", t);
   ExpectParity("da * 1.0", t);
   ExpectParity("-da", t);
@@ -265,17 +333,10 @@ TEST(BytecodeSemanticsTest, SignedZeroSurvivesBothEngines) {
 TEST(BytecodeSemanticsTest, CheckedInt64OverflowParity) {
   Table t{Schema({Field{"ia", DataType::kInt64, true}})};
   ASSERT_TRUE(t.AppendRow({Value::Int64(INT64_MAX)}).ok());
-  auto expr = ParseExpr("ia + 1");
-  ASSERT_NE(expr, nullptr);
-  auto compiled = CompileExpr(*expr, t.schema());
-  ASSERT_TRUE(compiled.has_value());
-  Result<Column> tw = EvaluateExpr(*expr, t);
-  BatchEvaluator eval;
-  Result<Column> bc = eval.Run(*compiled, t);
-  ASSERT_FALSE(tw.ok());
-  ASSERT_FALSE(bc.ok());
-  EXPECT_EQ(tw.status().ToString(), bc.status().ToString());
-  EXPECT_NE(bc.status().ToString().find("integer overflow in arithmetic"),
+  const Status s = ExpectParity("ia + 1", t);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kNumericError);
+  EXPECT_NE(s.ToString().find("integer overflow in arithmetic"),
             std::string::npos);
 }
 
@@ -284,21 +345,17 @@ TEST(BytecodeSemanticsTest, Int64MinEdgeCasesParity) {
                   Field{"ib", DataType::kInt64, true}})};
   ASSERT_TRUE(
       t.AppendRow({Value::Int64(INT64_MIN), Value::Int64(-1)}).ok());
-  // INT64_MIN % -1 is defined as 0 (not a trap) on both engines.
-  ExpectParity("ia % ib", t);
-  // -INT64_MIN and abs(INT64_MIN) must error identically.
-  for (const char* text : {"-ia", "abs(ia)"}) {
-    auto expr = ParseExpr(text);
-    ASSERT_NE(expr, nullptr);
-    auto compiled = CompileExpr(*expr, t.schema());
-    ASSERT_TRUE(compiled.has_value());
-    Result<Column> tw = EvaluateExpr(*expr, t);
-    BatchEvaluator eval;
-    Result<Column> bc = eval.Run(*compiled, t);
-    ASSERT_FALSE(tw.ok()) << text;
-    ASSERT_FALSE(bc.ok()) << text;
-    EXPECT_EQ(tw.status().ToString(), bc.status().ToString()) << text;
-  }
+  // INT64_MIN % -1 is defined as 0 (not a trap).
+  EXPECT_TRUE(ExpectParity("ia % ib", t).ok());
+  // -INT64_MIN and abs(INT64_MIN) must error.
+  const Status neg = ExpectParity("-ia", t);
+  EXPECT_NE(neg.ToString().find("integer overflow in negation"),
+            std::string::npos)
+      << neg.ToString();
+  const Status abs = ExpectParity("abs(ia)", t);
+  EXPECT_NE(abs.ToString().find("integer overflow in abs()"),
+            std::string::npos)
+      << abs.ToString();
 }
 
 TEST(BytecodeSemanticsTest, DivisionByZeroSkipsNullLanes) {
@@ -308,19 +365,13 @@ TEST(BytecodeSemanticsTest, DivisionByZeroSkipsNullLanes) {
                   Field{"db", DataType::kDouble, true}})};
   ASSERT_TRUE(t.AppendRow({Value::Double(1.0), Value::Double(2.0)}).ok());
   ASSERT_TRUE(t.AppendRow({Value::Double(1.0), Value::Null()}).ok());
-  ExpectParity("da / db", t);
-  ExpectParity("da % db", t);
-  // And a real 0.0 divisor on a non-NULL lane errors on both engines.
+  EXPECT_TRUE(ExpectParity("da / db", t).ok());
+  EXPECT_TRUE(ExpectParity("da % db", t).ok());
+  // And a real 0.0 divisor on a non-NULL lane errors.
   ASSERT_TRUE(t.AppendRow({Value::Double(1.0), Value::Double(0.0)}).ok());
-  auto expr = ParseExpr("da / db");
-  auto compiled = CompileExpr(*expr, t.schema());
-  ASSERT_TRUE(compiled.has_value());
-  Result<Column> tw = EvaluateExpr(*expr, t);
-  BatchEvaluator eval;
-  Result<Column> bc = eval.Run(*compiled, t);
-  ASSERT_FALSE(tw.ok());
-  ASSERT_FALSE(bc.ok());
-  EXPECT_EQ(tw.status().ToString(), bc.status().ToString());
+  const Status s = ExpectParity("da / db", t);
+  EXPECT_NE(s.ToString().find("division by zero"), std::string::npos)
+      << s.ToString();
 }
 
 TEST(BytecodeSemanticsTest, ThreeValuedLogicParity) {
@@ -344,8 +395,8 @@ TEST(BytecodeSemanticsTest, CaseCoalesceNullifParity) {
 }
 
 TEST(BytecodeSemanticsTest, ComparisonHorizonAt2Pow53) {
-  // 2^53 + 1 == 2^53 compares TRUE through double coercion on both
-  // engines — the shared (documented) horizon, not a divergence.
+  // 2^53 + 1 == 2^53 compares TRUE through double coercion — the
+  // documented §11 horizon, not a divergence.
   const Table t = SmallTable();
   ExpectParity("ia = ib", t);
   ExpectParity("ia = da", t);
@@ -353,29 +404,154 @@ TEST(BytecodeSemanticsTest, ComparisonHorizonAt2Pow53) {
 
 // --- VM mechanics ---------------------------------------------------------
 
+// --- Golden string cases: executor and oracle -------------------------------
+
+// Three tables over one schema. "a" mixes NULL, '' and case-distinct
+// strings; "b" never has a string and a number both non-NULL on the same
+// row; "empty" has no rows, so anything that fails there is static.
+Table StringTable(const std::string& which) {
+  Table t{Schema({Field{"tag", DataType::kString, true},
+                  Field{"other", DataType::kString, true},
+                  Field{"n", DataType::kInt64, true}})};
+  auto row = [&](Value tag, Value other, Value n) {
+    EXPECT_TRUE(
+        t.AppendRow({std::move(tag), std::move(other), std::move(n)}).ok());
+  };
+  const auto S = [](const char* s) { return Value::String(s); };
+  const auto I = [](int64_t v) { return Value::Int64(v); };
+  if (which == "a") {
+    row(S("red"), S("red"), I(1));
+    row(S(""), S("a"), I(2));
+    row(Value::Null(), S("b"), Value::Null());
+    row(S("blue"), Value::Null(), I(3));
+    row(S("Red"), S(""), Value::Null());
+  } else if (which == "b") {
+    row(Value::Null(), Value::Null(), I(1));
+    row(Value::Null(), S("x"), Value::Null());
+  }
+  return t;
+}
+
+TEST(BytecodeStringGoldenTest, ExecutorAndOracleMatchTheGoldenTable) {
+  const Value N = Value::Null();
+  const Value T = Value::Bool(true);
+  const Value F = Value::Bool(false);
+  const auto S = [](const char* s) { return Value::String(s); };
+  struct Case {
+    const char* table;
+    const char* expr;
+    bool ok;
+    std::vector<Value> want;  // one per row when ok
+  };
+  const std::vector<Case> cases = {
+      // Comparisons: byte-wise order ('R' < 'b' < 'r'), '' sorts first,
+      // NULL propagates.
+      {"a", "tag = 'red'", true, {T, F, N, F, F}},
+      {"a", "tag <> ''", true, {T, F, N, T, T}},
+      {"a", "tag < other", true, {F, T, N, N, F}},
+      {"a", "tag <= other", true, {T, T, N, N, F}},
+      {"a", "tag >= 'blue'", true, {T, F, N, T, F}},
+      {"a", "tag > 'Red'", true, {T, F, N, T, F}},
+      {"a", "'' < tag", true, {T, F, N, T, T}},
+      {"a", "tag = 'red' AND other = 'red'", true, {T, F, F, F, F}},
+      // COALESCE / CASE / NULLIF over strings.
+      {"a", "coalesce(tag, other, 'none')", true,
+       {S("red"), S(""), S("b"), S("blue"), S("Red")}},
+      {"a", "coalesce(other, tag)", true,
+       {S("red"), S("a"), S("b"), S("blue"), S("")}},
+      {"a", "CASE WHEN n > 1 THEN tag ELSE other END", true,
+       {S("red"), S(""), S("b"), S("blue"), S("")}},
+      {"a", "CASE WHEN tag = 'red' THEN 'hit' END", true,
+       {S("hit"), N, N, N, N}},
+      {"a", "nullif(tag, 'red')", true, {N, S(""), N, S("blue"), S("Red")}},
+      {"a", "nullif(tag, other)", true, {N, S(""), N, S("blue"), S("Red")}},
+      {"a", "nullif(other, '')", true, {S("red"), S("a"), S("b"), N, N}},
+      // A string/numeric NULLIF errors only where both sides are non-NULL.
+      {"a", "nullif(tag, 1)", false, {}},
+      {"a", "nullif(n, tag)", false, {}},
+      {"b", "nullif(tag, 1)", true, {N, N}},
+      {"b", "nullif(other, n)", true, {N, S("x")}},
+      {"b", "nullif(n, other)", true, {Value::Int64(1), N}},
+      {"empty", "nullif(tag, 1)", true, {}},
+      // Static errors fire even over no rows: unknown column or
+      // function, wrong arity, mixed type families.
+      {"empty", "nosuchcol", false, {}},
+      {"empty", "frobnicate(tag)", false, {}},
+      {"empty", "sqrt(n, n)", false, {}},
+      {"empty", "coalesce()", false, {}},
+      {"empty", "nullif(tag)", false, {}},
+      {"empty", "tag = 1", false, {}},
+      {"empty", "tag + 1", false, {}},
+      {"empty", "-tag", false, {}},
+      {"empty", "coalesce(tag, 1)", false, {}},
+      {"empty", "CASE WHEN n > 0 THEN tag ELSE 0 END", false, {}},
+      {"empty", "coalesce(tag, NULL)", false, {}},
+  };
+  for (const Case& c : cases) {
+    const Table table = StringTable(c.table);
+    Catalog catalog;
+    ASSERT_TRUE(catalog.Register("t", std::make_shared<Table>(table)).ok());
+    const std::string sql = std::string("SELECT ") + c.expr + " FROM t";
+    Result<Table> exec = ExecuteQuery(catalog, sql);
+    const testing::OracleResult oracle = OracleSelect(c.expr, table);
+    const std::string label = std::string(c.table) + ": " + c.expr;
+    ASSERT_EQ(exec.ok(), c.ok)
+        << label << ": " << (exec.ok() ? "ok" : exec.status().ToString());
+    ASSERT_EQ(oracle.status.ok(), c.ok)
+        << label << ": oracle " << oracle.status.ToString();
+    if (!c.ok) continue;
+    ASSERT_EQ(exec->num_rows(), c.want.size()) << label;
+    ASSERT_EQ(oracle.table.num_rows(), c.want.size()) << label;
+    for (size_t r = 0; r < c.want.size(); ++r) {
+      EXPECT_EQ(exec->GetValue(r, 0), c.want[r])
+          << label << " row " << r << ": executor "
+          << exec->GetValue(r, 0).ToString();
+      EXPECT_EQ(oracle.table.GetValue(r, 0), c.want[r])
+          << label << " row " << r << ": oracle "
+          << oracle.table.GetValue(r, 0).ToString();
+    }
+  }
+  // Aggregates in scalar context (here a WHERE clause) are static errors
+  // on both sides, rows or not.
+  for (const char* which : {"a", "empty"}) {
+    Catalog catalog;
+    ASSERT_TRUE(catalog
+                    .Register("t", std::make_shared<Table>(StringTable(which)))
+                    .ok());
+    auto stmt = ParseSelect("SELECT tag FROM t WHERE SUM(n) > 0");
+    ASSERT_TRUE(stmt.ok());
+    EXPECT_FALSE(ExecuteSelect(catalog, *stmt).ok()) << which;
+    EXPECT_FALSE(testing::OracleExecuteSelect(catalog, *stmt).status.ok())
+        << which;
+  }
+}
+
+// --- VM mechanics ---------------------------------------------------------
+
 TEST(BytecodeVmTest, TinyBatchesCrossBoundariesCorrectly) {
   // batch_size 3 over 5 rows: 2 batches, the second partial. Results must
-  // be identical to the default batch size and the tree-walker.
+  // be bit-identical to the default batch size.
   const Table t = SmallTable();
-  auto expr = ParseExpr("da * 2.0 + ia");
-  ASSERT_NE(expr, nullptr);
-  auto compiled = CompileExpr(*expr, t.schema());
-  ASSERT_TRUE(compiled.has_value());
-  BatchEvaluator tiny(3);
-  Result<Column> small = tiny.Run(*compiled, t);
-  ASSERT_TRUE(small.ok()) << small.status().ToString();
-  Result<Column> tw = EvaluateExpr(*expr, t);
-  ASSERT_TRUE(tw.ok());
-  ASSERT_EQ(small->size(), tw->size());
-  for (size_t i = 0; i < tw->size(); ++i) {
-    ASSERT_EQ(small->IsNull(i), tw->IsNull(i)) << i;
-    if (tw->IsNull(i)) continue;
-    const double a = small->DoubleAt(i), b = tw->DoubleAt(i);
-    if (std::isnan(b)) {
-      EXPECT_TRUE(std::isnan(a)) << i;
-    } else {
-      EXPECT_EQ(a, b) << i;
+  for (const char* text : {"da * 2.0 + ia", "coalesce(sa, 'z')",
+                           "nullif(ia, 1)", "sa >= 's'"}) {
+    auto expr = ParseExpr(text);
+    ASSERT_NE(expr, nullptr);
+    auto compiled = CompileExpr(*expr, t.schema());
+    ASSERT_TRUE(compiled.ok()) << text;
+    BatchEvaluator tiny(3);
+    BatchEvaluator wide;
+    Result<Column> small = tiny.Run(*compiled, t);
+    Result<Column> big = wide.Run(*compiled, t);
+    ASSERT_TRUE(small.ok()) << small.status().ToString();
+    ASSERT_TRUE(big.ok()) << big.status().ToString();
+    ASSERT_EQ(small->size(), big->size());
+    for (size_t i = 0; i < big->size(); ++i) {
+      ASSERT_EQ(small->IsNull(i), big->IsNull(i)) << text << " row " << i;
+      if (big->IsNull(i)) continue;
+      EXPECT_TRUE(SameCell(big->type(), *small, *big, i))
+          << text << " row " << i;
     }
+    EXPECT_TRUE(ExpectParity(text, t).ok()) << text;
   }
 }
 
@@ -387,7 +563,7 @@ TEST(BytecodeVmTest, ScratchReuseIsBitIdenticalAcrossRuns) {
   auto run = [&](const std::string& text) {
     auto expr = ParseExpr(text);
     auto compiled = CompileExpr(*expr, t.schema());
-    EXPECT_TRUE(compiled.has_value()) << text;
+    EXPECT_TRUE(compiled.ok()) << text;
     Result<Column> c = eval.Run(*compiled, t);
     EXPECT_TRUE(c.ok()) << text;
     return std::move(c).value();
@@ -395,58 +571,66 @@ TEST(BytecodeVmTest, ScratchReuseIsBitIdenticalAcrossRuns) {
   const Column first = run("da + db");
   run("coalesce(da, ia, -1)");  // different program dirties the slots
   run("ia - ib");  // (ia * ib would overflow on the 2^53 row)
+  run("CASE WHEN ba THEN sa END");  // string lanes under NULLs go stale
   const Column again = run("da + db");
   ASSERT_EQ(first.size(), again.size());
   for (size_t i = 0; i < first.size(); ++i) {
     ASSERT_EQ(first.IsNull(i), again.IsNull(i)) << i;
     if (first.IsNull(i)) continue;
-    uint64_t ba, bb;
-    const double a = first.DoubleAt(i), b = again.DoubleAt(i);
-    std::memcpy(&ba, &a, 8);
-    std::memcpy(&bb, &b, 8);
-    EXPECT_EQ(ba, bb) << i;
+    EXPECT_TRUE(SameCell(DataType::kDouble, first, again, i)) << i;
   }
 }
 
-TEST(BytecodeVmTest, FilterMatchesTreewalkSelection) {
+TEST(BytecodeVmTest, FilterSelectsOnlyTrueRows) {
   const Table t = SmallTable();
   auto expr = ParseExpr("da > 0 AND ia < 100");
   ASSERT_NE(expr, nullptr);
-  Result<std::vector<uint32_t>> tw = FilterRows(*expr, t);
-  ASSERT_TRUE(tw.ok());
-  SetGlobalExprEngine(ExprEngine::kBytecode);
-  Result<std::vector<uint32_t>> bc = FilterRowsAuto(*expr, t);
-  ASSERT_TRUE(bc.ok());
-  EXPECT_EQ(*tw, *bc);
+  // Row 0 is TRUE; row 1 (-0.0) FALSE; row 2 NaN > 0 but ia NULL -> NULL;
+  // row 3 fails ia < 100; row 4 has NULL da.
+  Result<std::vector<uint32_t>> rows = FilterRows(*expr, t);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(*rows, (std::vector<uint32_t>{0}));
 }
 
-TEST(BytecodeVmTest, NonBooleanFilterDiagnosesLikeTreewalk) {
+TEST(BytecodeVmTest, NonBooleanFilterIsATypeError) {
   const Table t = SmallTable();
   auto expr = ParseExpr("da + db");
   ASSERT_NE(expr, nullptr);
-  Result<std::vector<uint32_t>> tw = FilterRows(*expr, t);
-  SetGlobalExprEngine(ExprEngine::kBytecode);
-  Result<std::vector<uint32_t>> bc = FilterRowsAuto(*expr, t);
-  ASSERT_FALSE(tw.ok());
-  ASSERT_FALSE(bc.ok());
-  EXPECT_EQ(tw.status().ToString(), bc.status().ToString());
+  Result<std::vector<uint32_t>> rows = FilterRows(*expr, t);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_EQ(rows.status().code(), StatusCode::kTypeMismatch);
 }
 
-TEST(BytecodeVmTest, TreewalkToggleForcesFallback) {
+TEST(BytecodeVmTest, EvaluateExprReportsTheCompiledProgram) {
   const Table t = SmallTable();
   auto expr = ParseExpr("da + 1.0");
   ASSERT_NE(expr, nullptr);
-  SetGlobalExprEngine(ExprEngine::kTreewalk);
-  std::string disasm = "unset";
-  Result<Column> r = EvaluateExprAuto(*expr, t, &disasm);
-  SetGlobalExprEngine(ExprEngine::kBytecode);
+  std::string disasm;
+  Result<Column> r = EvaluateExpr(*expr, t, &disasm);
   ASSERT_TRUE(r.ok());
-  // Forced treewalk never compiles, so the disassembly stays empty.
+  EXPECT_NE(disasm.find("add.f64"), std::string::npos) << disasm;
+  // A static error never produces a program.
+  auto bad = ParseExpr("da + sa");
+  ASSERT_NE(bad, nullptr);
+  disasm = "unset";
+  EXPECT_FALSE(EvaluateExpr(*bad, t, &disasm).ok());
   EXPECT_EQ(disasm, "");
-  std::string disasm2;
-  Result<Column> r2 = EvaluateExprAuto(*expr, t, &disasm2);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_NE(disasm2.find("add.f64"), std::string::npos) << disasm2;
+}
+
+TEST(BytecodeVmTest, EvaluateConstantRunsOneRow) {
+  auto lit = ParseExpr("42");
+  auto v = EvaluateConstant(*lit);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(v->int64(), 42);
+  auto composite = EvaluateConstant(*ParseExpr("coalesce(NULL, 2.5) * 2"));
+  ASSERT_TRUE(composite.ok()) << composite.status().ToString();
+  EXPECT_EQ(composite->dbl(), 5.0);
+  auto str = EvaluateConstant(*ParseExpr("nullif('a', 'b')"));
+  ASSERT_TRUE(str.ok());
+  EXPECT_EQ(str->str(), "a");
+  EXPECT_EQ(EvaluateConstant(*ParseExpr("1 / 0")).status().code(),
+            StatusCode::kNumericError);
+  EXPECT_FALSE(EvaluateConstant(*ParseExpr("ia + 1")).ok());
 }
 
 }  // namespace

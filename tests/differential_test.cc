@@ -196,9 +196,10 @@ TEST(DifferentialTest, MutationSmokeCatchesInjectedBug) {
 }
 
 // The bytecode tier carries its own planted mutant (the compiled f64
-// adder drops the last lane of every batch), which only the tree-walk vs
-// bytecode leg of the matrix can see — proving the new tier is actually
-// under differential test, not shadowed by the tree-walker.
+// adder drops the last lane of every batch). Every executor tier shares
+// the compiled evaluator, so the tiers agree with each other; the oracle
+// leg catches the mutant against the bytecode@1 baseline — proving the
+// evaluator itself is under differential test.
 TEST(DifferentialTest, MutationSmokeCatchesInjectedBytecodeBug) {
   GenTable t;
   t.name = "t0";

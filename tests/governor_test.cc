@@ -89,8 +89,7 @@ TEST(EnvTest, MalformedIntegerKnobsFallBackToDefault) {
 /// Flag knobs: "0"/"false"/"off" disable, anything else non-empty
 /// enables, unset keeps the default.
 TEST(EnvTest, FlagKnobSemanticsPerKnob) {
-  const char* knobs[] = {"LAWS_EXPR_TREEWALK", "LAWS_SCAN_DECODE",
-                         "LAWS_TRACE"};
+  const char* knobs[] = {"LAWS_SCAN_DECODE", "LAWS_TRACE"};
   for (const char* knob : knobs) {
     ASSERT_EQ(setenv(knob, "0", 1), 0);
     EXPECT_FALSE(EnvFlag(knob, true)) << knob;

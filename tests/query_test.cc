@@ -5,9 +5,9 @@
 #include <memory>
 
 #include "query/executor.h"
-#include "query/expr_eval.h"
 #include "query/lexer.h"
 #include "query/parser.h"
+#include "query/vector_eval.h"
 #include "storage/catalog.h"
 
 namespace laws {
@@ -943,8 +943,7 @@ TEST(ExplainAnalyzeTest, RendersStageTreeWithRowsAndTimings) {
   EXPECT_NE(text->find("Sort(__key0 ASC)  rows=4->4"), std::string::npos);
   EXPECT_NE(text->find("time="), std::string::npos);
   // Expression-tier accounting rides below the tree.
-  EXPECT_NE(text->find("expr: engine=bytecode compiled="),
-            std::string::npos);
+  EXPECT_NE(text->find("expr: compiled="), std::string::npos);
   EXPECT_NE(text->find("4 rows in"), std::string::npos);
 }
 

@@ -8,7 +8,7 @@
 #
 # The compiled expression tier is covered here through bytecode_test (VM
 # slot/scratch reuse, batch-boundary reads) and differential_test (the
-# tree-walk/bytecode tier matrix runs inside the sweep), so out-of-bounds
+# bytecode tier matrix runs inside the sweep), so out-of-bounds
 # lane access in the register VM fails this gate. The compressed scan
 # tier rides the same suite: compressed_scan_test walks zone maps and RLE
 # runs directly, and differential_test's matrix executes every sweep

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Database-learning gate (DESIGN.md §17). Four phases:
+# Database-learning gate (DESIGN.md §17). Five phases:
 #
 #  1. Unit + differential under ASan+UBSan: the learn test suite (harvest
 #     dedupe/reset/taint, promotion, interval-tightening refinement,
@@ -12,11 +12,15 @@
 #     racing N querying sessions and an ingest writer, epoch
 #     monotonicity, and pinned readers never observing a mid-refit model
 #     are the racy parts of the design.
-#  3. Mutation smoke: rebuilds with -DLAWS_TESTING_INJECT_BUG=ON (which
+#  3. Repetition: the serve, learn and governor suites in the plain
+#     tier-1 build (real timing, no sanitizer slowdown) under
+#     `ctest --repeat until-fail:50` — a harvest race that needs a rare
+#     interleaving shows up here, not in one lucky run.
+#  4. Mutation smoke: rebuilds with -DLAWS_TESTING_INJECT_BUG=ON (which
 #     corrupts one merged sufficient statistic in IncrementalOls::Merge)
 #     and asserts the harvest self-check catches it — proof the
 #     statistics comparison can actually fail.
-#  4. End-to-end shell check: `learning on`, a harvesting scan, a
+#  5. End-to-end shell check: `learning on`, a harvesting scan, a
 #     maintenance tick, and a model-served query through the real
 #     lawsdb_shell binary, with the EXPLAIN ANALYZE `learning:` line and
 #     the promotion visible in `learning status`.
@@ -27,6 +31,8 @@
 #   LAWS_LEARN_TSAN_DIR  TSan build tree (default build-tsan, shared with
 #                        check_tsan.sh)
 #   LAWS_LEARN_MUTANT_DIR mutant build tree (default build-diff-mutant)
+#   LAWS_LEARN_PLAIN_DIR plain build tree for the repetition phase
+#                        (default build, the tier-1 tree)
 #   LAWS_LEARN_JOBS      parallel build jobs (default nproc)
 #   LAWS_LEARN_FUZZ_QUERIES  queries in the learning sweep (default 3000)
 set -euo pipefail
@@ -35,6 +41,7 @@ cd "$(dirname "$0")/.."
 ASAN_DIR="${LAWS_LEARN_ASAN_DIR:-build-diff}"
 TSAN_DIR="${LAWS_LEARN_TSAN_DIR:-build-tsan}"
 MUTANT_DIR="${LAWS_LEARN_MUTANT_DIR:-build-diff-mutant}"
+PLAIN_DIR="${LAWS_LEARN_PLAIN_DIR:-build}"
 JOBS="${LAWS_LEARN_JOBS:-$(nproc)}"
 QUERIES="${LAWS_LEARN_FUZZ_QUERIES:-3000}"
 
@@ -64,6 +71,13 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target learn_test
 
 echo "== learn suite incl. concurrency soak (TSan) =="
 "$TSAN_DIR/tests/learn_test"
+
+echo "== concurrency suites x50 (plain tier-1 build) =="
+cmake -B "$PLAIN_DIR" -S .
+cmake --build "$PLAIN_DIR" -j "$JOBS" \
+  --target serve_test learn_test governor_test
+ctest --test-dir "$PLAIN_DIR" --output-on-failure --repeat until-fail:50 \
+  -R '^(serve_test|learn_test|governor_test)$'
 
 echo "== mutation smoke: corrupted statistics merge must be caught =="
 cmake -B "$MUTANT_DIR" -S . -DLAWS_TESTING_INJECT_BUG=ON \

@@ -12,8 +12,7 @@
 #  4. the compiled expression tier (DESIGN.md §13) is visible: a filtered
 #     exact query (with an arithmetic predicate the compressed tier
 #     declines) renders the compiled bytecode program and the `expr:`
-#     counter line, and LAWS_EXPR_TREEWALK=1 flips the whole surface to
-#     the tree-walker (engine=treewalk, no program dumps);
+#     counter line;
 #  5. the compressed scan tier (DESIGN.md §14) is visible: with a small
 #     block size a selective filter on the clustered source column shows
 #     a `zonescan:` Filter detail with pruned blocks, the `scan:` line
@@ -91,25 +90,13 @@ if grep -q 'aqp.hybrid.model_hit' <<<"$post_reset"; then
   fail "counters survived metrics reset"
 fi
 
-# 4a. Compiled expression tier: the filtered exact query's Filter span
-#     must carry the compiled program dump, and the expr: accounting
-#     line must say the bytecode engine compiled something.
+# 4. Compiled expression tier: the filtered exact query's Filter span
+#    must carry the compiled program dump, and the expr: accounting line
+#    must say the compiler ran.
 grep -q 'bytecode: ' <<<"$out" || fail "no compiled-program dump in spans"
 grep -q 'cmpgt.f64' <<<"$out" || fail "predicate program missing cmpgt.f64"
-grep -Eq 'expr: engine=bytecode compiled=[1-9]' <<<"$out" \
-  || fail "no expr: engine=bytecode accounting line"
-
-# 4b. The escape hatch: with LAWS_EXPR_TREEWALK=1 the same query must
-#     report engine=treewalk and render no program dumps.
-tw_out="$(printf '%s\n' \
-  'gen lofar 100 4000' \
-  'explain analyze SELECT COUNT(*) FROM measurements WHERE intensity * 2.0 > 0.0' \
-  'quit' | LAWS_EXPR_TREEWALK=1 "$BUILD_DIR/examples/lawsdb_shell")"
-grep -q 'expr: engine=treewalk' <<<"$tw_out" \
-  || { out="$tw_out"; fail "LAWS_EXPR_TREEWALK=1 did not force treewalk"; }
-if grep -q 'bytecode: ' <<<"$tw_out"; then
-  out="$tw_out"; fail "treewalk mode still dumped compiled programs"
-fi
+grep -Eq 'expr: compiled=[1-9]' <<<"$out" \
+  || fail "no expr: compiled= accounting line"
 
 # 5a. Compressed scan tier: force many small blocks so the clustered
 #     `source` column actually gets pruned, and assert the whole surface:

@@ -4,11 +4,11 @@
 # ThreadPool subsystem or the parallel fitting/compression/generation
 # paths fails this script.
 #
-# Expression-engine state under test here: the global engine toggle is an
-# atomic, per-thread VM scratch is thread_local, and the expr.* metrics
-# counters are the registry's atomics — differential_test flips the
-# toggle while the pool runs at LAWS_THREADS>1, so a race in any of them
-# surfaces in this gate. Compressed-scan state is exercised the same way:
+# Expression-engine state under test here: per-thread VM scratch is
+# thread_local and the expr.* metrics counters are the registry's
+# atomics — differential_test evaluates on pool workers at
+# LAWS_THREADS>1, so a race in either surfaces in this gate.
+# Compressed-scan state is exercised the same way:
 # the scan-engine toggle and block-rows knob are atomics, the scan.*
 # counters are registry atomics, and the shared block-index cache is
 # mutex-guarded — differential_test flips engines and block sizes while
@@ -19,6 +19,10 @@
 # condvar hands slots across threads, session interrupts land from
 # foreign threads, and the block-index cache races builds, lookups,
 # SetScanBlockRows flips and purges — all instrumented here.
+#
+# A race that needs a rare interleaving can pass one run and fail the
+# next, so after the full suite the concurrency suites (serve, learn,
+# governor) run again under `ctest --repeat until-fail:50`.
 #
 # Usage: tools/check_tsan.sh [ctest-args...]
 #   LAWS_TSAN_BUILD_DIR  override the build tree (default: build-tsan)
@@ -40,4 +44,7 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-second_deadlock_stack=1 history_size=4}"
 export LAWS_THREADS="${LAWS_THREADS:-4}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure "$@"
+echo "== concurrency suites x50 (TSan) =="
+ctest --test-dir "$BUILD_DIR" --output-on-failure --repeat until-fail:50 \
+  -R '^(serve_test|learn_test|governor_test)$'
 echo "TSan-instrumented test suite passed."
