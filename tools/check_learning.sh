@@ -13,7 +13,7 @@
 #     monotonicity, and pinned readers never observing a mid-refit model
 #     are the racy parts of the design.
 #  3. Repetition: the serve, learn and governor suites in the plain
-#     tier-1 build (real timing, no sanitizer slowdown) under
+#     tier-1 tree `build` (real timing, no sanitizer slowdown) under
 #     `ctest --repeat until-fail:50` — a harvest race that needs a rare
 #     interleaving shows up here, not in one lucky run.
 #  4. Mutation smoke: rebuilds with -DLAWS_TESTING_INJECT_BUG=ON (which
@@ -31,8 +31,6 @@
 #   LAWS_LEARN_TSAN_DIR  TSan build tree (default build-tsan, shared with
 #                        check_tsan.sh)
 #   LAWS_LEARN_MUTANT_DIR mutant build tree (default build-diff-mutant)
-#   LAWS_LEARN_PLAIN_DIR plain build tree for the repetition phase
-#                        (default build, the tier-1 tree)
 #   LAWS_LEARN_JOBS      parallel build jobs (default nproc)
 #   LAWS_LEARN_FUZZ_QUERIES  queries in the learning sweep (default 3000)
 set -euo pipefail
@@ -41,7 +39,6 @@ cd "$(dirname "$0")/.."
 ASAN_DIR="${LAWS_LEARN_ASAN_DIR:-build-diff}"
 TSAN_DIR="${LAWS_LEARN_TSAN_DIR:-build-tsan}"
 MUTANT_DIR="${LAWS_LEARN_MUTANT_DIR:-build-diff-mutant}"
-PLAIN_DIR="${LAWS_LEARN_PLAIN_DIR:-build}"
 JOBS="${LAWS_LEARN_JOBS:-$(nproc)}"
 QUERIES="${LAWS_LEARN_FUZZ_QUERIES:-3000}"
 
@@ -73,10 +70,9 @@ echo "== learn suite incl. concurrency soak (TSan) =="
 "$TSAN_DIR/tests/learn_test"
 
 echo "== concurrency suites x50 (plain tier-1 build) =="
-cmake -B "$PLAIN_DIR" -S .
-cmake --build "$PLAIN_DIR" -j "$JOBS" \
-  --target serve_test learn_test governor_test
-ctest --test-dir "$PLAIN_DIR" --output-on-failure --repeat until-fail:50 \
+cmake -B build -S .
+cmake --build build -j "$JOBS" --target serve_test learn_test governor_test
+ctest --test-dir build --output-on-failure --repeat until-fail:50 \
   -R '^(serve_test|learn_test|governor_test)$'
 
 echo "== mutation smoke: corrupted statistics merge must be caught =="
